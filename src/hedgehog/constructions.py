@@ -30,7 +30,7 @@ from .core import (
     ToolkitError,
     YELLOW,
     binomial_column,
-    iter_subset_blocks,
+    iter_slabs,
     pair_arrays,
 )
 
@@ -273,29 +273,32 @@ def complement_lift(
     if len(pal) < 2:
         raise InvalidArgument("palette needs at least two colours")
     n = graph.n
-    c2 = binomial_column(2)
     cols = graph.colours
-    pieces = []
-    for start, (a, b, c) in iter_subset_blocks(n, 3):
-        e1 = cols[c2[b] + a]
-        e2 = cols[c2[c] + a]
-        e3 = cols[c2[c] + b]
-        out = np.full(len(a), -1, dtype=np.int16)
-        for pos in range(len(pal) - 1, -1, -1):
-            pc = pal[pos]
-            absent = (e1 != pc) & (e2 != pc) & (e3 != pc)
-            out[absent] = pos
-        if (out < 0).any():
-            i = int(np.argmax(out < 0))
-            tri = (int(a[i]), int(b[i]), int(c[i]))
-            raise PreconditionViolated(
-                f"triangle {tri} carries every palette colour",
-                witness=(tri, (int(e1[i]), int(e2[i]), int(e3[i]))),
-            )
-        pieces.append(out.astype(np.uint8))
-    colours = (
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
+    # three edges show at most three colours, so the smallest absent
+    # position is one of 0..3, or len(pal) when the whole palette shows
+    bit = np.zeros(256, dtype=np.uint8)
+    for pos, pc in enumerate(pal[:4]):
+        if 0 <= pc < 256:
+            bit[pc] = 1 << pos
+    first_absent = np.array(
+        [next(p for p in range(5) if not mask >> p & 1) for mask in range(16)],
+        dtype=np.uint8,
     )
+    shown = bit[cols]
+    colours = np.empty(math.comb(n, 3), dtype=np.uint8)
+    for top, start, (a, b) in iter_slabs(n, 3):
+        m = len(a)
+        row = shown[m : m + top]
+        out = first_absent[shown[:m] | row[a] | row[b]]
+        if (out >= len(pal)).any():
+            i = int(np.argmax(out >= len(pal)))
+            x, y = int(a[i]), int(b[i])
+            edges = ((x, y), (x, top), (y, top))
+            raise PreconditionViolated(
+                f"triangle {(x, y, top)} carries every palette colour",
+                witness=((x, y, top), tuple(graph.colour_of(e) for e in edges)),
+            )
+        colours[start : start + m] = out
     return CompleteColouring(n=n, k=3, q=len(pal), colours=colours)
 
 
@@ -308,35 +311,26 @@ def kr_quad_lift(graph: CompleteColouring) -> CompleteColouring:
     if graph.k != 2 or graph.q != 2:
         raise InvalidArgument("quad lift starts from a 2-coloured graph")
     n = graph.n
-    c2 = binomial_column(2)
     cols = graph.colours
-    pieces = []
-    for _, (a, b, c, d) in iter_subset_blocks(n, 4):
-        e = {
-            ("a", "b"): cols[c2[b] + a],
-            ("a", "c"): cols[c2[c] + a],
-            ("a", "d"): cols[c2[d] + a],
-            ("b", "c"): cols[c2[c] + b],
-            ("b", "d"): cols[c2[d] + b],
-            ("c", "d"): cols[c2[d] + c],
-        }
-        triangles = [
-            (("a", "b"), ("a", "c"), ("b", "c")),
-            (("a", "b"), ("a", "d"), ("b", "d")),
-            (("a", "c"), ("a", "d"), ("c", "d")),
-            (("b", "c"), ("b", "d"), ("c", "d")),
-        ]
-        has = {}
-        for colour in (0, 1):
-            any_tri = np.zeros(len(a), dtype=bool)
-            for t1, t2, t3 in triangles:
-                any_tri |= (e[t1] == colour) & (e[t2] == colour) & (e[t3] == colour)
-            has[colour] = any_tri
-        out = np.where(has[1] & ~has[0], 1, 0).astype(np.uint8)
-        pieces.append(out)
-    colours = (
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
-    )
+    # a 4-set abcd is a 6-bit key: the edges ab, ac, bc of its lower triple
+    # in bits 3..5, and the edges ad, bd, cd through its top d in bits 0..2
+    rule = np.zeros(64, dtype=np.uint8)
+    for key in range(64):
+        ab, ac, bc, ad, bd, cd = (key >> s & 1 for s in (3, 4, 5, 0, 1, 2))
+        triangles = ((ab, ac, bc), (ab, ad, bd), (ac, ad, cd), (bc, bd, cd))
+        if (1, 1, 1) in triangles and (0, 0, 0) not in triangles:
+            rule[key] = 1
+    lower_key = np.empty(math.comb(n, 3), dtype=np.uint8)
+    for top, start, (a, b) in iter_slabs(n, 3):
+        m = len(a)
+        row = cols[m : m + top]
+        lower_key[start : start + m] = (cols[:m] | row[a] << 1 | row[b] << 2) << 3
+    colours = np.empty(math.comb(n, 4), dtype=np.uint8)
+    for top, start, (a, b, c) in iter_slabs(n, 4):
+        m = len(a)
+        row = cols[math.comb(top, 2) : math.comb(top + 1, 2)]
+        key = lower_key[:m] | row[a] | row[b] << 1 | row[c] << 2
+        colours[start : start + m] = rule[key]
     return CompleteColouring(n=n, k=4, q=2, colours=colours)
 
 
@@ -363,20 +357,20 @@ def quad_set_lift(triples: CompleteColouring) -> CompleteColouring:
     for i, m in enumerate(ordered):
         subset_index[m] = i
     n = triples.n
-    c2 = binomial_column(2)
-    c3 = binomial_column(3)
-    cols = triples.colours
-    pieces = []
-    for _, (a, b, c, d) in iter_subset_blocks(n, 4):
-        t_abc = cols[c3[c] + c2[b] + a].astype(np.int32)
-        t_abd = cols[c3[d] + c2[b] + a].astype(np.int32)
-        t_acd = cols[c3[d] + c2[c] + a].astype(np.int32)
-        t_bcd = cols[c3[d] + c2[c] + b].astype(np.int32)
-        mask = (1 << t_abc) | (1 << t_abd) | (1 << t_acd) | (1 << t_bcd)
-        pieces.append(subset_index[mask])
-    colours = (
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint8)
-    )
+    shown = np.left_shift(1, triples.colours, dtype=np.uint8)
+    # for every triple abc, the colex ranks of its pairs ab, ac and bc: in
+    # the slab of a top d > c they index the triples abd, acd and bcd
+    pair_ranks = np.empty((3, math.comb(n, 3)), dtype=np.int32)
+    for top, start, (a, b) in iter_slabs(n, 3):
+        m = len(a)
+        pair_ranks[:, start : start + m] = (np.arange(m), m + a, m + b)
+    colours = np.empty(math.comb(n, 4), dtype=np.uint8)
+    for top, start, lower in iter_slabs(n, 4):
+        m = len(lower[0])
+        slab = shown[math.comb(top, 3) : math.comb(top + 1, 3)]
+        ab, ac, bc = pair_ranks[:, :m]
+        mask = shown[:m] | slab[ab] | slab[ac] | slab[bc]
+        colours[start : start + m] = subset_index[mask]
     return CompleteColouring(
         n=n, k=4, q=quad_set_lift_colour_count(q), colours=colours
     )

@@ -19,12 +19,8 @@ import numpy as np
 RED, BLUE, GREEN, YELLOW = 0, 1, 2, 3
 COLOUR_NAMES = ("red", "blue", "green", "yellow")
 
-# ranking tables and cached enumerations are sized for at most this many vertices
+# the binomial tables and the pair arrays cover at most this many vertices
 MAX_VERTICES = 1024
-
-# largest C(n,k) for which a full enumeration array is cached in memory;
-# beyond this, passes over k-subsets run blockwise by top vertex
-CACHE_LIMIT = 1 << 23
 
 
 class ToolkitError(Exception):
@@ -133,12 +129,17 @@ def triple_rank(a: int, b: int, c: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized colex enumerations
+# colex slabs
 #
-# pair_arrays(n) is small and cached outright.  3- and 4-subsets come in
-# colex blocks grouped by their top vertex: the subsets of [n] with top
-# vertex x are exactly (subsets of [x]) x {x}, and by colex those occupy the
-# contiguous rank range [C(x,k), C(x+1,k)).
+# In colex order the k-subsets of [n] with top vertex x fill the contiguous
+# rank range [C(x,k), C(x+1,k)), and inside that slab they are ordered by the
+# rank of their lower (k-1)-subset, which runs over all (k-1)-subsets of [x].
+# So one pass over the complete k-graph is one loop over top vertices, and
+# the slab of top x is indexed by lower rank:
+#   - the lower subsets are a prefix of length C(x,k-1) of the vertex arrays
+#     of the (k-1)-subsets of [n-1], and their own colours (in a colouring
+#     of uniformity k-1) are the same prefix of its colour array;
+#   - the edges through x are the pairs C(x,2) + a for a < x, one row.
 
 
 @lru_cache(maxsize=16)
@@ -154,75 +155,33 @@ def pair_arrays(n: int):
     return a, b
 
 
-def iter_subset_blocks(n: int, k: int, max_block: int = CACHE_LIMIT):
-    """Yield (start_rank, columns) covering all k-subsets of [n] colexwise.
+def iter_slabs(n: int, k: int):
+    """Yield (top, start, lower) for each top vertex of the k-subsets of [n].
 
-    columns is a tuple of k int32 arrays (ascending within each subset).
-    Blocks group consecutive top vertices while staying under max_block rows.
+    The k-subsets with top vertex `top` have colex ranks start + i for
+    i < C(top, k-1); subset i is lower[0][i] < ... < lower[k-2][i] < top.
+    `lower` holds prefix views of one set of int32 vertex arrays, so a slab
+    costs no allocation: for k=2 the vertices of [n-1], for k=3 the arrays of
+    pair_arrays(n), for k=4 the triple arrays of [n-1], built once per call.
     """
     if k == 2:
-        yield 0, pair_arrays(n)
-        return
-    if k == 3:
-        lower_a, lower_b = pair_arrays(n)
-        low_count = binomial_column(2)
+        full = (np.arange(n - 1, dtype=np.int32),)
+    elif k == 3:
+        full = pair_arrays(n)
     elif k == 4:
-        lower = triple_arrays(n)  # needs C(n,3) cacheable; guarded there
-        lower_a, lower_b, lower_c = lower
-        low_count = binomial_column(3)
+        # the triples of [n-1]: top c once for each pair of [c], and those
+        # pairs are a prefix of the pairs of [n]
+        tops = np.arange(n - 1, dtype=np.int32)
+        c = np.repeat(tops, binomial_column(2)[tops])
+        local = np.arange(len(c), dtype=np.int64) - binomial_column(3)[c]
+        full = tuple(arr[local] for arr in pair_arrays(n)) + (c,)
     else:
         raise InvalidArgument(f"unsupported uniformity k={k}")
-
-    top = k - 1
-    while top < n:
-        hi = top
-        rows = 0
-        while hi < n and (rows == 0 or rows + low_count[hi] <= max_block):
-            rows += int(low_count[hi])
-            hi += 1
-        tops = np.repeat(
-            np.arange(top, hi, dtype=np.int32),
-            low_count[top:hi].astype(np.int64),
-        )
-        # a subset's index within its top block equals its lower subset's
-        # own colex rank, by the colex nesting property
-        start = int(binomial_column(k)[top])
-        local = np.arange(rows, dtype=np.int64) + start - binomial_column(k)[tops]
-        if k == 3:
-            cols = (lower_a[local], lower_b[local], tops)
-        else:
-            cols = (lower_a[local], lower_b[local], lower_c[local], tops)
-        yield start, cols
-        top = hi
-
-
-@lru_cache(maxsize=8)
-def triple_arrays(n: int):
-    """(a, b, c) arrays over all 3-subsets of [n] in colex rank order."""
-    if math.comb(n, 3) > CACHE_LIMIT:
-        raise InvalidArgument(
-            f"C({n},3) too large to cache; use iter_subset_blocks"
-        )
-    parts = [cols for _, cols in iter_subset_blocks(n, 3)]
-    a = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int32)
-    b = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int32)
-    c = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, np.int32)
-    for arr in (a, b, c):
-        arr.setflags(write=False)
-    return a, b, c
-
-
-@lru_cache(maxsize=4)
-def triple_pair_ranks(n: int):
-    """Pair ranks (ab, ac, bc) for every 3-subset of [n], colex order, int32."""
-    a, b, c = triple_arrays(n)
-    c2 = binomial_column(2)
-    pr_ab = (c2[b] + a).astype(np.int32)
-    pr_ac = (c2[c] + a).astype(np.int32)
-    pr_bc = (c2[c] + b).astype(np.int32)
-    for arr in (pr_ab, pr_ac, pr_bc):
-        arr.setflags(write=False)
-    return pr_ab, pr_ac, pr_bc
+    low_count = binomial_column(k - 1)
+    starts = binomial_column(k)
+    for top in range(k - 1, n):
+        m = int(low_count[top])
+        yield top, int(starts[top]), tuple(arr[:m] for arr in full)
 
 
 # ---------------------------------------------------------------------------
@@ -303,38 +262,36 @@ def pair_colour_counts(col: CompleteColouring) -> np.ndarray:
     """For a k=3 colouring: per-pair counts of triples of each colour.
 
     Returns an int64 array of shape (C(n,2), q): entry [p, c] is the number
-    of triples of colour c containing the pair with colex rank p.  One pass
-    over all C(n,3) triples; the last colour's counts come for free since the
-    q counts at a pair sum to n-2.
+    of triples of colour c containing the pair with colex rank p.  One walk
+    over the slabs; the last colour's counts come for free since the q
+    counts at a pair sum to n-2.
+
+    In the slab of top c, the triple over lower pair j = C(b,2) + a counts
+    for the pairs j, C(c,2) + a and C(c,2) + b.  The first is the slab
+    itself, the third a sum over the segment [C(b,2), C(b+1,2)) of the slab,
+    and only the second needs a bincount.
     """
     if col.k != 3:
         raise InvalidArgument("pair_colour_counts needs a k=3 colouring")
     n, q = col.n, col.q
-    m2 = math.comb(n, 2)
-    counts = np.zeros((m2, q), dtype=np.int64)
+    # a count is at most n - 2, so int32 holds it and halves the traffic
+    counts = np.zeros((q, math.comb(n, 2)), dtype=np.int32)
     c2 = binomial_column(2)
-
-    def accumulate(pr_ab, pr_ac, pr_bc, cols):
+    for top, start, (a, _) in iter_slabs(n, 3):
+        m = len(a)
+        slab = col.colours[start : start + m]
         for colour in range(q - 1):
-            mask = cols == colour
-            if not mask.any():
-                continue
-            counts[:, colour] += np.bincount(pr_ab[mask], minlength=m2)
-            counts[:, colour] += np.bincount(pr_ac[mask], minlength=m2)
-            counts[:, colour] += np.bincount(pr_bc[mask], minlength=m2)
-
-    if math.comb(n, 3) <= CACHE_LIMIT:
-        pr_ab, pr_ac, pr_bc = triple_pair_ranks(n)
-        accumulate(pr_ab, pr_ac, pr_bc, col.colours)
-    else:
-        for start, (a, b, c) in iter_subset_blocks(n, 3):
-            cols = col.colours[start : start + len(a)]
-            accumulate(c2[b] + a, c2[c] + a, c2[c] + b, cols)
+            hit = slab == colour
+            row = counts[colour]
+            row[:m] += hit
+            # pairs with b = 0 have no segment; b >= 1 owns [C(b,2), C(b+1,2))
+            row[m + 1 : m + top] += np.add.reduceat(hit, c2[1:top], dtype=np.int32)
+            row[m : m + top] += np.bincount(a, weights=hit, minlength=top).astype(np.int32)
     if q >= 2 and n >= 2:
-        counts[:, q - 1] = (n - 2) - counts[:, : q - 1].sum(axis=1)
+        counts[q - 1] = (n - 2) - counts[: q - 1].sum(axis=0)
     elif q == 1:
-        counts[:, 0] = max(n - 2, 0)
-    return counts
+        counts[0] = max(n - 2, 0)
+    return counts.T.astype(np.int64, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +383,25 @@ class HedgehogEmbedding:
             raise InvalidArgument("not a HEDGEHOG v1 certificate")
         fields = {}
         spines = {}
-        for ln in lines[1:]:
-            if ln.startswith("spine "):
-                left, _, right = ln[len("spine "):].partition("->")
-                sub = tuple(int(x) for x in left.split())
-                spines[sub] = int(right.strip())
-            else:
-                key, _, val = ln.partition(" ")
-                fields[key] = val
         try:
+            for ln in lines[1:]:
+                if ln.startswith("spine "):
+                    left, _, right = ln[len("spine "):].partition("->")
+                    sub = tuple(int(x) for x in left.split())
+                    if sub in spines:
+                        raise InvalidArgument(f"spine {sub} is given twice")
+                    spines[sub] = int(right.strip())
+                else:
+                    key, _, val = ln.partition(" ")
+                    fields[key] = val
             colour = int(fields["colour"])
             body = tuple(int(x) for x in fields["body"].split())
+            t = int(fields.get("t", len(body)))
         except (KeyError, ValueError) as exc:
             raise InvalidArgument(f"malformed certificate: {exc}") from exc
-        emb = cls(colour=colour, body=body, spines=spines)
-        if "t" in fields and int(fields["t"]) != emb.t:
+        if t != len(body):
             raise InvalidArgument("certificate t does not match body length")
-        return emb
+        return cls(colour=colour, body=body, spines=spines)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,8 @@ from .core import (
     InvalidArgument,
     StagedFailure,
     ToolkitError,
-    binomial_column,
     graph_colour_matrix,
-    iter_subset_blocks,
+    iter_slabs,
     pair_arrays,
     pair_colour_counts,
 )
@@ -235,13 +234,10 @@ def spencer_independent_set(
             alive = set(range(n))
         else:
             alive = set(np.flatnonzero(rng.random(n) < p).tolist())
-        dirty = True
-        while dirty:
-            dirty = False
-            for x, y, z in edges:
-                if x in alive and y in alive and z in alive:
-                    alive.discard(z)  # rows sorted: z is the largest vertex
-                    dirty = True
+        # alive only shrinks, so one pass leaves no edge wholly alive
+        for x, y, z in edges:
+            if x in alive and y in alive and z in alive:
+                alive.discard(z)  # rows sorted: z is the largest vertex
         for v in range(n):
             if v in alive:
                 continue
@@ -582,16 +578,15 @@ def rbg_label_hypergraph(
 ) -> TriangleHypergraph:
     """Triangles whose three label sets jointly cover red, blue and green."""
     n = aux.n
-    labels = aux.labels
-    c2 = binomial_column(2)
+    labels = aux.labels & 0b111
     rows = []
-    for _, (a, b, c) in iter_subset_blocks(n, 3):
-        union = labels[c2[b] + a] | labels[c2[c] + a] | labels[c2[c] + b]
-        hit = (union & 0b111) == 0b111
+    for top, _, (a, b) in iter_slabs(n, 3):
+        m = len(a)
+        row = labels[m : m + top]
+        hit = (labels[:m] | row[a] | row[b]) == 0b111
         if hit.any():
-            rows.append(
-                np.stack([a[hit], b[hit], c[hit]], axis=1).astype(np.int32)
-            )
+            x, y = a[hit], b[hit]
+            rows.append(np.stack([x, y, np.full_like(x, top)], axis=1))
     edges = (
         np.concatenate(rows, axis=0) if rows else np.empty((0, 3), dtype=np.int32)
     )

@@ -58,12 +58,6 @@ class AuxiliaryGraphColouring:
     labels: np.ndarray  # uint8 bitmasks, length C(n,2)
     counts: np.ndarray  # int64, shape (C(n,2), q)
 
-    def label_sets(self) -> list[set[int]]:
-        return [
-            {c for c in range(self.q) if mask >> c & 1}
-            for mask in self.labels.tolist()
-        ]
-
 
 @dataclass
 class VertexClass:

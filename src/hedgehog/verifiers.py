@@ -21,10 +21,10 @@ from .core import (
     HedgehogEmbedding,
     InvalidArgument,
     RefusedInstance,
-    binomial_column,
+    ToolkitError,
+    graph_colour_matrix,
     hedgehog_shape,
-    iter_subset_blocks,
-    pair_arrays,
+    iter_slabs,
     rank_subset,
 )
 
@@ -315,21 +315,20 @@ def rainbow_triangle_free(
     pal = sorted(set(palette))
     if len(pal) != 3:
         raise InvalidArgument(f"palette {palette} is not three distinct colours")
-    n = colouring.n
-    cols = colouring.colours
-    c2 = binomial_column(2)
-    for _, (a, b, c) in iter_subset_blocks(n, 3):
-        e1 = cols[c2[b] + a]
-        e2 = cols[c2[c] + a]
-        e3 = cols[c2[c] + b]
-        distinct = (e1 != e2) & (e1 != e3) & (e2 != e3)
-        inpal = (
-            np.isin(e1, pal) & np.isin(e2, pal) & np.isin(e3, pal)
-        )
-        hit = distinct & inpal
+    # an edge colour's palette bit; a triangle is rainbow when its three
+    # edges show all three bits
+    bit = np.zeros(256, dtype=np.uint8)
+    for pos, pc in enumerate(pal):
+        if 0 <= pc < 256:
+            bit[pc] = 1 << pos
+    shown = bit[colouring.colours]
+    for top, _, (a, b) in iter_slabs(colouring.n, 3):
+        m = len(a)
+        row = shown[m : m + top]
+        hit = (shown[:m] | row[a] | row[b]) == 0b111
         if hit.any():
             i = int(np.argmax(hit))
-            return (int(a[i]), int(b[i]), int(c[i]))
+            return (int(a[i]), int(b[i]), top)
     return None
 
 
@@ -350,7 +349,7 @@ def every_clique_all_colours(
     if t > n:
         return None
     full = (1 << q) - 1
-    mat = _colour_matrix(colouring)
+    mat = graph_colour_matrix(colouring)
 
     members: list[int] = []
 
@@ -373,17 +372,6 @@ def every_clique_all_colours(
         return None
 
     return rec(0, 0)
-
-
-def _colour_matrix(colouring: CompleteColouring) -> list[list[int]]:
-    n = colouring.n
-    mat = [[0] * n for _ in range(n)]
-    a, b = pair_arrays(n)
-    cols = colouring.colours
-    for r in range(len(cols)):
-        u, v = int(a[r]), int(b[r])
-        mat[u][v] = mat[v][u] = int(cols[r])
-    return mat
 
 
 def verify_complement_lift(
@@ -543,7 +531,11 @@ def exhaustive_ramsey_check(
                 witness = CompleteColouring(n, 3, q, colours)
                 # cross-validate with the per-colouring oracle before reporting
                 for colour in range(q):
-                    assert has_monochromatic_hedgehog(witness, t, colour) is None
+                    if has_monochromatic_hedgehog(witness, t, colour) is not None:
+                        raise ToolkitError(
+                            f"bit-parallel check and hedgehog oracle disagree on "
+                            f"colouring {i} in colour {colour}"
+                        )
                 return RamseyCheckResult(t, q, n, False, witness, checked, total)
             lo = hi
         return RamseyCheckResult(t, q, n, True, None, checked, total)
@@ -551,41 +543,6 @@ def exhaustive_ramsey_check(
     for i in range(max(scan, 1)):
         digits = []
         x = i
-        for _ in range(m):
-            digits.append(x % q)
-            x //= q
-        witness = CompleteColouring(n, 3, q, np.array(digits, dtype=np.uint8))
-        checked += 1
-        if all(
-            has_monochromatic_hedgehog(witness, t, colour) is None
-            for colour in range(q)
-        ):
-            return RamseyCheckResult(t, q, n, False, witness, checked, total)
-    return RamseyCheckResult(t, q, n, True, None, checked, total)
-
-
-def exhaustive_ramsey_check_sampled(
-    t: int,
-    q: int,
-    n: int,
-    fraction: float,
-    seed: int,
-    limit: int = 1 << 26,
-) -> RamseyCheckResult:
-    """Slow-path twin of exhaustive_ramsey_check on a random sample of the
-    colouring space, deciding each sampled colouring with the per-colouring
-    matching oracle.  Used to cross-check the bit-parallel fast path."""
-    m = math.comb(n, 3)
-    total = q**m
-    if total > limit:
-        raise RefusedInstance(f"{total} colourings exceed limit {limit}", estimate=total)
-    rng = np.random.default_rng(seed)
-    count = max(1, int(total * fraction))
-    sample = rng.integers(0, total, size=count, dtype=np.uint64)
-    checked = 0
-    for i in sample.tolist():
-        digits = []
-        x = int(i)
         for _ in range(m):
             digits.append(x % q)
             x //= q

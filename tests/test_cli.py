@@ -1,7 +1,9 @@
 import subprocess
 import sys
 
-from hedgehog import cli
+import numpy as np
+
+from hedgehog import cli, core
 
 
 def run_cli(args, expect=None):
@@ -69,6 +71,15 @@ def test_verify_rejects_mutated_certificate(tmp_path):
     bad = tmp_path / "bad.cert"
     bad.write_text("\n".join(lines) + "\n")
     run_cli(["verify", "embedding", "--in", str(col), "--cert", str(bad)], expect=2)
+
+
+def test_verify_malformed_certificate_is_usage_error(tmp_path, capsys):
+    col = tmp_path / "c.hcol"
+    core.write_colouring(core.CompleteColouring(6, 3, 2, np.zeros(20, dtype=np.uint8)), col)
+    cert = tmp_path / "c.cert"
+    cert.write_text("HEDGEHOG v1\nk 3\nt 2\ncolour 0\nbody 0 1\nspine 0 1 -> x\n")
+    assert cli.main(["verify", "embedding", "--in", str(col), "--cert", str(cert)]) == 64
+    assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_scattered_lift_verify_chain(tmp_path):

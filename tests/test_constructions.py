@@ -129,6 +129,23 @@ def test_kr_quad_lift_examples():
     assert constructions.kr_quad_lift(g).colour_of((0, 1, 2, 3)) == 0
 
 
+def test_kr_quad_lift_matches_brute_force():
+    rng = np.random.default_rng(9)
+    n = 9
+    for density in (0.2, 0.5, 0.8):
+        cols = (rng.random(math.comb(n, 2)) < density).astype(np.uint8)
+        g = core.CompleteColouring(n, 2, 2, cols)
+        lifted = constructions.kr_quad_lift(g)
+        for quad in combinations(range(n), 4):
+            mono = set()
+            for tri in combinations(quad, 3):
+                edge_colours = {g.colour_of(e) for e in combinations(tri, 2)}
+                if len(edge_colours) == 1:
+                    mono |= edge_colours
+            expect = 1 if 1 in mono and 0 not in mono else 0
+            assert lifted.colour_of(quad) == expect, (density, quad)
+
+
 def both_triangles_in_every(base, t):
     for sub in combinations(range(base.n), t):
         seen = set()

@@ -38,12 +38,16 @@ def test_rank_rejects_bad_input():
 
 
 def test_rank_unrank_identity_exhaustive_to_64():
-    # enumeration arrays are built blockwise; the combinadic rank formula is
-    # evaluated independently, so comparing them to arange is a real check
+    # the slab walker lays subsets out by top vertex and lower rank; the
+    # combinadic rank formula is evaluated independently, so comparing them
+    # to arange is a real check
     for k in (2, 3, 4):
         for n in range(k, 65, 3):
             total = 0
-            for start, cols in core.iter_subset_blocks(n, k):
+            for top, start, lower in core.iter_slabs(n, k):
+                cols = lower + (np.full(len(lower[0]), top, dtype=np.int32),)
+                for low, high in zip(cols, cols[1:]):
+                    assert (low < high).all(), (n, k, top)
                 rank = np.zeros(len(cols[0]), dtype=np.int64)
                 for i, col in enumerate(cols):
                     rank += core.binomial_column(i + 1)[col]
@@ -109,7 +113,8 @@ def test_colouring_validation():
 
 def test_pair_colour_counts_matches_brute_force():
     rng = np.random.default_rng(1)
-    for n, q in ((8, 2), (10, 3), (12, 4)):
+    cases = [(n, q) for n in (2, 3, 4) for q in (1, 2, 3)]
+    for n, q in cases + [(8, 1), (8, 2), (10, 3), (12, 4)]:
         col = core.CompleteColouring(
             n, 3, q, rng.integers(0, q, size=math.comb(n, 3), dtype=np.uint8)
         )
@@ -175,6 +180,23 @@ def test_embedding_certificate_round_trip():
     assert again.t == 3 and again.k == 3
     with pytest.raises(core.InvalidArgument):
         core.HedgehogEmbedding.from_text("garbage\n")
+
+
+def test_embedding_certificate_parse_fails_closed():
+    text = core.HedgehogEmbedding(
+        colour=0, body=(0, 1, 2), spines={(0, 1): 3, (0, 2): 4, (1, 2): 5}
+    ).to_text()
+    bad_lines = (
+        "spine 0 1 -> x",
+        "spine 0 y -> 3",
+        "spine 0 1 -> ",
+        "t three",
+    )
+    for bad in bad_lines:
+        with pytest.raises(core.InvalidArgument):
+            core.HedgehogEmbedding.from_text(text + bad + "\n")
+    with pytest.raises(core.InvalidArgument, match="twice"):
+        core.HedgehogEmbedding.from_text(text + "spine 0 1 -> 6\n")
 
 
 def test_clique_witness_round_trip():

@@ -251,6 +251,34 @@ def test_pipeline_staged_failure_names_stage():
     assert info.value.stage in ("three-colour-clique", "gallai-clique")
 
 
+def test_rbg_label_hypergraph_matches_brute_force():
+    rng = np.random.default_rng(20)
+    n = 20
+    for t in (2, 3):
+        col = core.CompleteColouring(
+            n, 3, 3, rng.integers(0, 3, size=math.comb(n, 3), dtype=np.uint8)
+        )
+        theta = finder.pair_threshold(t)
+        counts = core.pair_colour_counts(col)
+        labels = finder.label_pairs(counts, theta)
+        aux = finder.AuxiliaryGraphColouring(
+            n=n, t=t, q=3, theta=theta, labels=labels, counts=counts
+        )
+        expect = [
+            tri
+            for tri in sorted(combinations(range(n), 3), key=lambda s: s[::-1])
+            if (
+                int(labels[core.pair_rank(tri[0], tri[1])])
+                | int(labels[core.pair_rank(tri[0], tri[2])])
+                | int(labels[core.pair_rank(tri[1], tri[2])])
+            ) & 0b111 == 0b111
+        ]
+        hyper = extractors.rbg_label_hypergraph(aux)
+        assert hyper.n == n and hyper.edges.dtype == np.int32
+        assert [tuple(row) for row in hyper.edges.tolist()] == expect
+        assert 0 < len(expect) < math.comb(n, 3), t
+
+
 def test_pipeline_triangle_count_bound_property():
     rng = np.random.default_rng(10)
     for _ in range(20):

@@ -119,6 +119,26 @@ def test_rainbow_triangle_free():
         verifiers.rainbow_triangle_free(two, (0, 1))
 
 
+def test_rainbow_triangle_free_returns_colex_first():
+    rng = np.random.default_rng(5)
+    for n in (9, 16, 30):
+        col = random_colouring_array(rng, n, 2, 4)
+        rainbow = [
+            tri
+            for tri in sorted(combinations(range(n), 3), key=lambda s: s[::-1])
+            if {col.colour_of(e) for e in combinations(tri, 2)} == {1, 2, 3}
+        ]
+        assert len(rainbow) >= 2
+        assert verifiers.rainbow_triangle_free(col, (3, 1, 2)) == rainbow[0]
+    # two rainbow triangles, where colex and lexicographic order disagree
+    cols = np.zeros(10, dtype=np.uint8)
+    edges = {(1, 2): 1, (1, 3): 2, (2, 3): 3, (0, 3): 1, (0, 4): 2, (3, 4): 3}
+    for (u, v), c in edges.items():
+        cols[core.pair_rank(u, v)] = c
+    col = core.CompleteColouring(5, 2, 4, cols)
+    assert verifiers.rainbow_triangle_free(col, (1, 2, 3)) == (1, 2, 3)
+
+
 def test_every_clique_all_colours_examples():
     mono = core.CompleteColouring(6, 2, 2, np.zeros(15, dtype=np.uint8))
     w = verifiers.every_clique_all_colours(mono, 3, 2)
@@ -183,6 +203,14 @@ def test_exhaustive_ramsey_tiny():
     assert verifiers.exhaustive_ramsey_check(2, 2, 3).holds
     r = verifiers.exhaustive_ramsey_check(2, 2, 2)
     assert not r.holds and r.counterexample.edge_count == 0
+
+
+def test_exhaustive_ramsey_cross_check_is_not_an_assert(monkeypatch):
+    # an oracle that finds a hedgehog everywhere disagrees with the fast
+    # path's counterexample; the disagreement must raise under python -O too
+    monkeypatch.setattr(verifiers, "has_monochromatic_hedgehog", lambda *args: object())
+    with pytest.raises(core.ToolkitError, match="disagree"):
+        verifiers.exhaustive_ramsey_check(3, 2, 5)
 
 
 def test_exhaustive_ramsey_refuses_large():
