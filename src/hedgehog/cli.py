@@ -7,7 +7,13 @@ are plain text so they can be diffed and checked into fixtures.
 
 Exit codes: 0 success / verified / holds; 1 search failed; 2 violation or
 counterexample (certificate printed); 3 instance refused; 64 bad usage or
-unparseable input.
+unparseable input.  An exception maps to its code through one table, the
+same for a direct call and for a batch entry:
+
+    bad flags, InvalidArgument, PreconditionViolated, OSError   64
+    RefusedInstance                                               3
+    StagedFailure                                                 1
+    GuaranteeViolated, any other ToolkitError                     2
 """
 
 from __future__ import annotations
@@ -44,6 +50,31 @@ class _UsageError(Exception):
     pass
 
 
+# (exception types, exit code, stderr prefix); the first matching row wins,
+# so subclasses come before ToolkitError
+_EXIT_TABLE = (
+    (_UsageError, EXIT_USAGE, "usage error"),
+    ((InvalidArgument, PreconditionViolated), EXIT_USAGE, "error"),
+    (OSError, EXIT_USAGE, "io error"),
+    (RefusedInstance, EXIT_REFUSED, "refused"),
+    (StagedFailure, EXIT_FAILED, "failed"),
+    (ToolkitError, EXIT_VIOLATION, "error"),
+)
+_MAPPED = (_UsageError, ToolkitError, OSError)
+
+
+def _exit_row(exc: BaseException) -> tuple[int, str]:
+    for types, code, prefix in _EXIT_TABLE:
+        if isinstance(exc, types):
+            return code, prefix
+    raise TypeError(f"no exit code for {type(exc).__name__}")
+
+
+def exit_code_for(exc: BaseException) -> int:
+    """The exit code of a usage, I/O or toolkit error."""
+    return _exit_row(exc)[0]
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; route everything through exit code 64
     def error(self, message):
@@ -78,7 +109,11 @@ def _emit(text: str, path: str | None):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hedgehog", description=__doc__)
+    parser = _Parser(
+        prog="hedgehog",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     parser.add_argument(
         "--threads",
         type=int,
@@ -273,14 +308,10 @@ def _cmd_lift(args) -> int:
 
 def _cmd_find(args) -> int:
     col = read_colouring(args.infile)
-    try:
-        if args.colour == "auto":
-            emb = finder.find_monochromatic_hedgehog(col, args.t)
-        else:
-            emb = finder.find_hedgehog_in_colour(col, args.t, int(args.colour))
-    except StagedFailure as failure:
-        sys.stderr.write(f"failed: {failure}\n")
-        return EXIT_FAILED
+    if args.colour == "auto":
+        emb = finder.find_monochromatic_hedgehog(col, args.t)
+    else:
+        emb = finder.find_hedgehog_in_colour(col, args.t, int(args.colour))
     _emit(emb.to_text(), args.cert)
     return EXIT_OK
 
@@ -320,9 +351,10 @@ def _parse_scale(text: str) -> dict:
         return out
     for part in text.replace(",", " ").split():
         key, _, value = part.partition("=")
-        if not value:
-            raise _UsageError(f"bad scale entry {part!r}")
-        out[key] = int(value)
+        try:
+            out[key] = int(value)
+        except ValueError as exc:
+            raise _UsageError(f"bad scale entry {part!r}") from exc
     allowed = {"clique_target", "gallai_target", "spencer_trials"}
     unknown = set(out) - allowed
     if unknown:
@@ -333,13 +365,7 @@ def _parse_scale(text: str) -> dict:
 def _cmd_pipeline(args) -> int:
     col = read_colouring(args.infile)
     scale = _parse_scale(args.scale)
-    try:
-        emb, trace = extractors.three_colour_pipeline(
-            col, args.t, seed=args.seed, **scale
-        )
-    except StagedFailure as failure:
-        sys.stderr.write(f"failed: {failure}\n")
-        return EXIT_FAILED
+    emb, trace = extractors.three_colour_pipeline(col, args.t, seed=args.seed, **scale)
     sys.stderr.write(trace.to_text())
     _emit(emb.to_text(), args.cert)
     return EXIT_OK
@@ -466,16 +492,16 @@ def _cmd_batch(args) -> int:
         threads = int(os.environ.get("HEDGEHOG_THREADS", "1"))
 
     def run_one(line: str) -> tuple[str, int, float]:
-        start = time.time()
+        start = time.perf_counter()
         try:
-            code = _run_argv(shlex.split(line))
-        except _UsageError:
-            code = EXIT_USAGE
-        except (InvalidArgument, PreconditionViolated, ToolkitError):
-            code = EXIT_VIOLATION
-        except OSError:
-            code = EXIT_USAGE
-        return line, code, time.time() - start
+            try:
+                argv = shlex.split(line)
+            except ValueError as exc:
+                raise _UsageError(f"bad manifest line: {exc}") from exc
+            code = _run_argv(argv)
+        except _MAPPED as exc:
+            code = exit_code_for(exc)
+        return line, code, time.perf_counter() - start
 
     if threads > 1 and len(lines) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -500,18 +526,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         return _run_argv(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except RefusedInstance as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        return EXIT_REFUSED
-    except (InvalidArgument, PreconditionViolated) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"io error: {exc}\n")
-        return EXIT_USAGE
+    except _MAPPED as exc:
+        code, prefix = _exit_row(exc)
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .core import (
     ToolkitError,
     YELLOW,
     binomial_column,
+    check_colouring_shape,
     iter_slabs,
     pair_arrays,
 )
@@ -38,8 +39,10 @@ from .core import (
 def random_colouring(n: int, k: int, q: int, seed: int) -> CompleteColouring:
     """Each edge i.i.d. uniform on [0, q) from a PCG64 stream; a fixed seed
     gives a byte-identical colouring on every run."""
-    if q < 1:
-        raise InvalidArgument("need at least one colour")
+    # check the shape and seed before C(n, k) bytes are allocated
+    check_colouring_shape(n, k, q)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed {seed!r} is not a non-negative integer")
     rng = np.random.default_rng(seed)
     colours = rng.integers(0, q, size=math.comb(n, k), dtype=np.uint8)
     return CompleteColouring(n=n, k=k, q=q, colours=colours)

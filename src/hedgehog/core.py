@@ -188,6 +188,16 @@ def iter_slabs(n: int, k: int):
 # colourings
 
 
+def check_colouring_shape(n: int, k: int, q: int) -> None:
+    """Raise InvalidArgument unless (n, k, q) is the shape of a colouring."""
+    if k not in (2, 3, 4):
+        raise InvalidArgument(f"uniformity k={k} not in (2, 3, 4)")
+    if not 1 <= q <= 256:
+        raise InvalidArgument(f"colour count q={q} not in [1, 256]")
+    if n < 0 or n > MAX_VERTICES:
+        raise InvalidArgument(f"vertex count n={n} out of range")
+
+
 @dataclass(frozen=True, eq=False)
 class CompleteColouring:
     """A q-colouring of all k-subsets of [n].
@@ -202,12 +212,7 @@ class CompleteColouring:
     colours: np.ndarray
 
     def __post_init__(self):
-        if self.k not in (2, 3, 4):
-            raise InvalidArgument(f"uniformity k={self.k} not in (2, 3, 4)")
-        if not 1 <= self.q <= 256:
-            raise InvalidArgument(f"colour count q={self.q} not in [1, 256]")
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise InvalidArgument(f"vertex count n={self.n} out of range")
+        check_colouring_shape(self.n, self.k, self.q)
         arr = np.ascontiguousarray(self.colours, dtype=np.uint8)
         expect = math.comb(self.n, self.k)
         if arr.shape != (expect,):
@@ -243,18 +248,14 @@ class CompleteColouring:
         )
 
 
-def graph_colour_matrix(col: CompleteColouring) -> list[list[int]]:
-    """n x n matrix of edge colours for a k=2 colouring (diagonal 0)."""
+def graph_colour_matrix(col: CompleteColouring) -> np.ndarray:
+    """n x n uint8 matrix of edge colours for a k=2 colouring (diagonal 0)."""
     if col.k != 2:
         raise InvalidArgument("graph_colour_matrix needs a k=2 colouring")
-    n = col.n
-    mat = [[0] * n for _ in range(n)]
-    a, b = pair_arrays(n)
-    cols = col.colours
-    for r in range(len(cols)):
-        u, v, c = int(a[r]), int(b[r]), int(cols[r])
-        mat[u][v] = c
-        mat[v][u] = c
+    mat = np.zeros((col.n, col.n), dtype=np.uint8)
+    a, b = pair_arrays(col.n)
+    mat[a, b] = col.colours
+    mat[b, a] = col.colours
     return mat
 
 
@@ -512,44 +513,52 @@ def degeneracy(edges, n: int | None = None) -> int:
 # For q <= 16 the body is one lowercase hex digit per edge in rank order;
 # otherwise it is whitespace-separated decimal.  Readers reject any length
 # mismatch, and the writer's output is canonical so write/read/write
-# round-trips are byte-identical.
+# round-trips are byte-identical.  Files are parsed and written as bytes,
+# so the locale never matters and a non-ASCII byte is an InvalidArgument;
+# the text functions wrap the byte ones.
 
-_HCOL_HEADER = re.compile(r"HCOL v1 n=(\d+) k=(\d+) q=(\d+)$")
+_HCOL_HEADER = re.compile(rb"HCOL v1 n=(\d+) k=(\d+) q=(\d+)$")
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_VALUES = np.full(256, 255, dtype=np.uint8)
 for _i, _ch in enumerate(b"0123456789abcdef"):
     _HEX_VALUES[_ch] = _i
 
 
-def colouring_to_text(col: CompleteColouring) -> str:
-    head = f"HCOL v1 n={col.n} k={col.k} q={col.q}\n"
+def colouring_to_bytes(col: CompleteColouring) -> bytes:
+    head = f"HCOL v1 n={col.n} k={col.k} q={col.q}\n".encode("ascii")
     if col.q <= 16:
-        body = _HEX_DIGITS[col.colours].tobytes().decode("ascii")
+        body = _HEX_DIGITS[col.colours].tobytes()
     else:
-        body = " ".join(str(int(c)) for c in col.colours)
-    return head + body + "\n"
+        body = " ".join(str(int(c)) for c in col.colours).encode("ascii")
+    return head + body + b"\n"
 
 
-def colouring_from_text(text: str) -> CompleteColouring:
-    newline = text.find("\n")
+def colouring_from_bytes(data: bytes) -> CompleteColouring:
+    """Parse HCOL v1 from raw bytes; any malformed input is InvalidArgument."""
+    newline = data.find(b"\n")
     if newline < 0:
         raise InvalidArgument("missing HCOL header line")
-    header = _HCOL_HEADER.match(text[:newline])
+    header = _HCOL_HEADER.match(data[:newline])
     if header is None:
-        raise InvalidArgument(f"bad HCOL header: {text[:newline]!r}")
+        line = data[:newline].decode("utf-8", errors="replace")
+        raise InvalidArgument(f"bad HCOL header: {line!r}")
     n, k, q = (int(g) for g in header.groups())
     expect = math.comb(n, k)
-    body = text[newline + 1 :]
+    body = data[newline + 1 :]
     if q <= 16:
-        raw = body.encode("ascii", errors="replace").translate(None, b" \t\r\n")
+        raw = body.translate(None, b" \t\r\n")
         vals = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)]
         if vals.size and int(vals.max()) == 255:
             bad = int(np.argmax(vals == 255))
             raise InvalidArgument(f"invalid hex digit at body position {bad}")
     else:
         try:
-            vals = np.array([int(tok) for tok in body.split()], dtype=np.int64)
-        except ValueError as exc:
+            # a non-ASCII token fails its decode, a ValueError like any other
+            # bad token; an integer beyond int64 fails the array build
+            vals = np.array(
+                [int(tok.decode("ascii")) for tok in body.split()], dtype=np.int64
+            )
+        except (ValueError, OverflowError) as exc:
             raise InvalidArgument(f"invalid decimal colour: {exc}") from exc
     if vals.size != expect:
         raise InvalidArgument(
@@ -557,14 +566,24 @@ def colouring_from_text(text: str) -> CompleteColouring:
         )
     if vals.size and int(vals.max()) >= q:
         raise InvalidArgument(f"colour {int(vals.max())} out of range for q={q}")
+    if vals.size and int(vals.min()) < 0:
+        raise InvalidArgument(f"colour {int(vals.min())} out of range for q={q}")
     return CompleteColouring(n=n, k=k, q=q, colours=vals.astype(np.uint8))
 
 
+def colouring_to_text(col: CompleteColouring) -> str:
+    return colouring_to_bytes(col).decode("ascii")
+
+
+def colouring_from_text(text: str) -> CompleteColouring:
+    return colouring_from_bytes(text.encode("utf-8", errors="surrogatepass"))
+
+
 def write_colouring(col: CompleteColouring, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(colouring_to_text(col))
+    with open(path, "wb") as fh:
+        fh.write(colouring_to_bytes(col))
 
 
 def read_colouring(path) -> CompleteColouring:
-    with open(path, "r", newline="") as fh:
-        return colouring_from_text(fh.read())
+    with open(path, "rb") as fh:
+        return colouring_from_bytes(fh.read())

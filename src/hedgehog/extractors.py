@@ -324,7 +324,7 @@ def three_colour_clique_search(
         return None
     if s == 1:
         return CliqueWitness((0,), frozenset())
-    mat = graph_colour_matrix(col)
+    mat = graph_colour_matrix(col).tolist()
     members: list[int] = []
 
     def rec(census: int, start: int) -> CliqueWitness | None:

@@ -2,9 +2,11 @@
 
 Nothing in this module calls into the construction / finder / extractor
 code it is meant to police; the only shared code is the core substrate
-(ranking and the colouring container).  Checks favour simple, obviously
-correct loops over speed, except for the exhaustive small-Ramsey search
-which gets a bit-parallel fast path.
+(ranking, the slab walk, the colouring container and its dense colour
+matrix).  The rainbow scan and the complement-lift check run per slab on
+numpy arrays, the latter over that matrix with a different formula from the
+lift's own kernel; the exhaustive small-Ramsey search gets a bit-parallel
+fast path; the other checks are plain loops.
 """
 
 from __future__ import annotations
@@ -349,7 +351,7 @@ def every_clique_all_colours(
     if t > n:
         return None
     full = (1 << q) - 1
-    mat = graph_colour_matrix(colouring)
+    mat = graph_colour_matrix(colouring).tolist()
 
     members: list[int] = []
 
@@ -379,41 +381,43 @@ def verify_complement_lift(
     base: CompleteColouring,
     palette,
 ) -> Violation | None:
-    """Recheck, triple by triple, that the lifted colouring assigns every
-    triple the position of the smallest palette colour absent from its three
-    base edge colours.  Independent scalar recomputation."""
+    """Recheck that the lifted colouring assigns every triple the position of
+    the smallest palette colour absent from its three base edge colours.
+
+    Independent of the lift: the edge colours come from the dense colour
+    matrix, and the wanted position is recomputed per slab by a masked
+    assignment over the palette from high to low, -1 meaning none is absent.
+    Reports the colex-first bad triple, a full-palette triangle before a
+    wrong lift colour.
+    """
     if base.k != 2 or lifted.k != 3 or lifted.n != base.n:
         return Violation("input", "lift/base shapes do not match")
     pal = sorted(set(palette))
     if lifted.q != len(pal):
         return Violation("input", f"lift q={lifted.q} != palette size {len(pal)}")
-    idx = 0
+    mat = graph_colour_matrix(base)
     cols = lifted.colours
-    for c in range(2, base.n):
-        for b in range(1, c):
-            for a in range(b):
-                edges = {
-                    base.colour_of((a, b)),
-                    base.colour_of((a, c)),
-                    base.colour_of((b, c)),
-                }
-                want = None
-                for pos, pc in enumerate(pal):
-                    if pc not in edges:
-                        want = pos
-                        break
-                if want is None:
-                    return Violation(
-                        "palette", f"triangle {(a, b, c)} uses the whole palette",
-                        (a, b, c),
-                    )
-                if int(cols[idx]) != want:
-                    return Violation(
-                        "lift",
-                        f"triple {(a, b, c)} coloured {int(cols[idx])}, expected {want}",
-                        (a, b, c),
-                    )
-                idx += 1
+    for top, start, (a, b) in iter_slabs(base.n, 3):
+        e_ab, e_at, e_bt = mat[a, b], mat[a, top], mat[b, top]
+        want = np.full(len(a), -1, dtype=np.int16)
+        for pos in range(len(pal) - 1, -1, -1):
+            pc = pal[pos]
+            if not 0 <= pc < 256:
+                # never an edge colour, so absent from every triangle
+                want.fill(pos)
+                continue
+            pc = np.uint8(pc)
+            want[(e_ab != pc) & (e_at != pc) & (e_bt != pc)] = pos
+        got = cols[start : start + len(a)]
+        bad = got != want  # a full-palette triangle's -1 matches no colour
+        if bad.any():
+            i = int(np.argmax(bad))
+            tri = (int(a[i]), int(b[i]), top)
+            if want[i] < 0:
+                return Violation("palette", f"triangle {tri} uses the whole palette", tri)
+            return Violation(
+                "lift", f"triple {tri} coloured {int(got[i])}, expected {int(want[i])}", tri
+            )
     return None
 
 

@@ -1,9 +1,11 @@
+import shlex
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from hedgehog import cli, core
+from hedgehog import cli, constructions, core, verifiers
 
 
 def run_cli(args, expect=None):
@@ -240,3 +242,97 @@ def test_help_covers_subcommands():
 
 def test_main_entry_point_direct():
     assert cli.main(["f-oracle", "--t", "2", "--cap", "3"]) == 0
+
+
+EXIT_TABLE = (
+    (core.InvalidArgument("boom"), 64),
+    (core.InfeasibleSpec("boom"), 64),
+    (core.PreconditionViolated("boom"), 64),
+    (OSError("boom"), 64),
+    (core.RefusedInstance("boom"), 3),
+    (core.StagedFailure("stage", "boom"), 1),
+    (core.GuaranteeViolated("boom"), 2),
+    (core.ToolkitError("boom"), 2),
+)
+SEARCH = ["search", "exhaustive", "--t", "2", "-q", "2", "-n", "3"]
+
+
+@pytest.mark.parametrize("exc, code", EXIT_TABLE, ids=[type(e).__name__ for e, _ in EXIT_TABLE])
+def test_exit_code_table_direct_and_batch(exc, code, tmp_path, monkeypatch, capsys):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(verifiers, "exhaustive_ramsey_check", raise_it)
+    assert cli.exit_code_for(exc) == code
+    assert cli.main(SEARCH) == code
+    err = capsys.readouterr().err
+    assert err.endswith(f": {exc}\n") and err.count("\n") == 1
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(" ".join(SEARCH) + "\n")
+    assert cli.main(["batch", "--manifest", str(manifest)]) == 1
+    assert f"FAIL({code})" in capsys.readouterr().out
+
+
+def test_exit_codes_of_real_failures_agree_in_batch(tmp_path, capsys):
+    col = tmp_path / "c.hcol"
+    core.write_colouring(core.CompleteColouring(6, 3, 2, np.zeros(20, dtype=np.uint8)), col)
+    cert = tmp_path / "c.cert"
+    cert.write_text("HEDGEHOG v1\nk 3\nt 2\ncolour 0\nbody 0 1\nspine 0 1 -> x\n")
+    entries = {
+        f"verify embedding --in {col} --cert {cert}": 64,  # InvalidArgument
+        "search exhaustive --t 3 -q 2 -n 12": 3,  # RefusedInstance
+        "search exhaustive --bogus": 64,  # bad flag
+        f"find hedgehog --t 3 --in {tmp_path / 'absent.hcol'}": 64,  # OSError
+        f"pipeline --t 3 --in {col} --seed 0 --scale clique_target=x": 64,
+    }
+    for line, code in entries.items():
+        assert cli.main(shlex.split(line)) == code, line
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("\n".join(entries) + "\nverify 'unclosed\n")
+    assert cli.main(["batch", "--manifest", str(manifest)]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[-2] for row in rows] == [
+        f"FAIL({code})" for code in entries.values()
+    ] + ["FAIL(64)"]
+
+
+def test_plain_toolkit_error_is_not_a_traceback(monkeypatch, capsys):
+    # an oracle that disagrees with the bit-parallel path raises ToolkitError
+    monkeypatch.setattr(verifiers, "has_monochromatic_hedgehog", lambda *args: object())
+    assert cli.main(["search", "exhaustive", "--t", "3", "-q", "2", "-n", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: bit-parallel check")
+
+
+def test_generate_random_fails_closed(tmp_path, capsys):
+    out = tmp_path / "x.hcol"
+    base = ["generate", "random", "-k", "3", "-q", "2", "--out", str(out)]
+    assert cli.main(base + ["-n", "-1", "--seed", "0"]) == 64
+    assert cli.main(base + ["-n", "5", "--seed", "-1"]) == 64
+    assert cli.main(["generate", "random", "-n", "5", "-k", "3", "-q", "300",
+                     "--seed", "0", "--out", str(out)]) == 64
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error: ") == 3
+
+
+def test_non_utf8_hcol_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.hcol"
+    path.write_bytes(b"HCOL v1 n=3 k=2 q=2\n01\xff0\n")
+    assert cli.main(["find", "hedgehog", "--t", "3", "--in", str(path)]) == 64
+    assert "invalid hex digit at body position 2" in capsys.readouterr().err
+
+
+def test_verify_lift_reports_corrupted_triple(tmp_path, capsys):
+    base = constructions.random_colouring(9, 2, 4, 3)
+    lifted = constructions.complement_lift(base, (0, 1, 2, 3))
+    colours = lifted.colours.copy()
+    colours[11] = (colours[11] + 2) % 4
+    base_path, lift_path = tmp_path / "base.hcol", tmp_path / "lift.hcol"
+    core.write_colouring(base, base_path)
+    core.write_colouring(core.CompleteColouring(9, 3, 4, colours), lift_path)
+    argv = ["verify", "lift", "--in", str(lift_path), "--base", str(base_path), "--t", "4"]
+    assert cli.main(argv) == 2
+    tri = tuple(core.unrank_subset(11, 9, 3))
+    assert capsys.readouterr().out == (
+        f"violation lift: triple {tri} coloured {colours[11]}, "
+        f"expected {lifted.colours[11]}\n"
+    )

@@ -15,6 +15,22 @@ def test_random_colouring_deterministic():
     assert not a.equals(c)
 
 
+def test_random_colouring_fails_closed():
+    bad = (
+        dict(n=-1, k=3, q=2, seed=0),
+        dict(n=5, k=3, q=2, seed=-1),
+        dict(n=5, k=3, q=0, seed=0),
+        dict(n=5, k=3, q=300, seed=0),
+        dict(n=5, k=5, q=2, seed=0),
+        dict(n=core.MAX_VERTICES + 1, k=4, q=2, seed=0),
+        dict(n=5, k=3, q=2, seed=None),
+        dict(n=5, k=3, q=2, seed=1.5),
+    )
+    for kwargs in bad:
+        with pytest.raises(core.InvalidArgument):
+            constructions.random_colouring(**kwargs)
+
+
 def test_random_colouring_single_colour():
     col = constructions.random_colouring(4, 3, 1, 123)
     assert col.colours.tolist() == [0, 0, 0, 0]

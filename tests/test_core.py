@@ -171,6 +171,64 @@ def test_hcol_rejects_corruption():
         core.colouring_from_text(btext.replace("19", "21", 1))
 
 
+def test_hcol_bytes_and_text_share_one_format(tmp_path):
+    rng = np.random.default_rng(4)
+    for q in (2, 16, 17, 256):
+        col = core.CompleteColouring(6, 3, q, rng.integers(0, q, size=20, dtype=np.uint8))
+        data = core.colouring_to_bytes(col)
+        assert data == core.colouring_to_text(col).encode("ascii")
+        assert core.colouring_from_bytes(data).equals(col)
+        path = tmp_path / f"q{q}.hcol"
+        core.write_colouring(col, path)
+        assert path.read_bytes() == data
+
+
+def test_hcol_rejects_non_ascii_bytes(tmp_path):
+    cases = (
+        b"HCOL v1 n=3 k=2 q=2\n01\xff0\n",  # bad byte in a hex body
+        b"HCOL v1 n=3 k=2 q=20\n1 \xff 2\n",  # bad byte in a decimal body
+        b"HCOL v1 n=\xff k=2 q=2\n011\n",  # bad byte in the header
+        b"\xfe\xff",  # no header line at all
+    )
+    for data in cases:
+        with pytest.raises(core.InvalidArgument):
+            core.colouring_from_bytes(data)
+        path = tmp_path / "bad.hcol"
+        path.write_bytes(data)
+        with pytest.raises(core.InvalidArgument):
+            core.read_colouring(path)
+    with pytest.raises(core.InvalidArgument, match="invalid hex digit at body position 2"):
+        core.colouring_from_bytes(cases[0])
+    with pytest.raises(core.InvalidArgument, match=r"bad HCOL header: 'HCOL v1 n=\ufffd"):
+        core.colouring_from_bytes(cases[2])
+    # the text wrapper reports a non-ASCII character at its own position
+    with pytest.raises(core.InvalidArgument, match="body position 1"):
+        core.colouring_from_text("HCOL v1 n=3 k=2 q=2\n0\u00e91\n")
+
+
+def test_hcol_decimal_body_fails_closed():
+    for body in (b"1 -1 2", b"1 99999999999999999999999 2", b"1 x 2"):
+        with pytest.raises(core.InvalidArgument):
+            core.colouring_from_bytes(b"HCOL v1 n=3 k=2 q=256\n" + body + b"\n")
+
+
+def test_graph_colour_matrix_matches_colour_of():
+    rng = np.random.default_rng(8)
+    for n in range(13):
+        q = int(rng.integers(1, 6))
+        col = core.CompleteColouring(
+            n, 2, q, rng.integers(0, q, size=math.comb(n, 2), dtype=np.uint8)
+        )
+        mat = core.graph_colour_matrix(col)
+        assert mat.shape == (n, n) and mat.dtype == np.uint8
+        for u in range(n):
+            assert mat[u, u] == 0
+            for v in range(u + 1, n):
+                assert mat[u, v] == mat[v, u] == col.colour_of((u, v))
+    with pytest.raises(core.InvalidArgument):
+        core.graph_colour_matrix(core.CompleteColouring(4, 3, 1, np.zeros(4, dtype=np.uint8)))
+
+
 def test_embedding_certificate_round_trip():
     emb = core.HedgehogEmbedding(
         colour=1, body=(0, 2, 5), spines={(0, 2): 7, (0, 5): 3, (2, 5): 9}

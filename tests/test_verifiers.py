@@ -185,6 +185,116 @@ def test_verify_clique_census():
     assert verifiers.verify_clique_census(dup, col).kind == "vertices"
 
 
+def scalar_verify_complement_lift(lifted, base, palette):
+    """Reference oracle: the per-triple loop the vectorised check replaced."""
+    if base.k != 2 or lifted.k != 3 or lifted.n != base.n:
+        return verifiers.Violation("input", "lift/base shapes do not match")
+    pal = sorted(set(palette))
+    if lifted.q != len(pal):
+        return verifiers.Violation(
+            "input", f"lift q={lifted.q} != palette size {len(pal)}"
+        )
+    idx = 0
+    cols = lifted.colours
+    for c in range(2, base.n):
+        for b in range(1, c):
+            for a in range(b):
+                edges = {
+                    base.colour_of((a, b)),
+                    base.colour_of((a, c)),
+                    base.colour_of((b, c)),
+                }
+                want = None
+                for pos, pc in enumerate(pal):
+                    if pc not in edges:
+                        want = pos
+                        break
+                if want is None:
+                    return verifiers.Violation(
+                        "palette", f"triangle {(a, b, c)} uses the whole palette",
+                        (a, b, c),
+                    )
+                if int(cols[idx]) != want:
+                    return verifiers.Violation(
+                        "lift",
+                        f"triple {(a, b, c)} coloured {int(cols[idx])}, expected {want}",
+                        (a, b, c),
+                    )
+                idx += 1
+    return None
+
+
+def reference_lift_colours(base, pal, rng):
+    """Smallest absent palette position per triple; a random colour where
+    the triangle shows the whole palette."""
+    out = []
+    for a, b, c in sorted(combinations(range(base.n), 3), key=lambda s: s[::-1]):
+        edges = {base.colour_of((a, b)), base.colour_of((a, c)), base.colour_of((b, c))}
+        absent = [pos for pos, pc in enumerate(pal) if pc not in edges]
+        out.append(absent[0] if absent else int(rng.integers(len(pal))))
+    return np.array(out, dtype=np.uint8)
+
+
+def complement_lift_corpus():
+    rng = np.random.default_rng(31)
+    palettes = [
+        (0,), (1,), (-1,), (300,), (0, 1), (1, 3), (-1, 0), (0, 300),
+        (0, 1, 2), (2, 0, 1), (0, 1, 300), (-1, 1, 2), (0, 1, 2, 3),
+        (-1, 0, 1, 300), (0, 1, 2, 3, 4), (0, 2, 3, 300, 4),
+        (0, 1, 2, 3, 4, 5), (-1, 0, 1, 2, 300, 7),
+    ]
+    sizes = [0, 1, 2, 3] + [int(x) for x in rng.integers(4, 14, size=12)]
+    for n in sizes:
+        for palette in palettes:
+            pal = sorted(set(palette))
+            base = random_colouring_array(rng, n, 2, int(rng.integers(1, 7)))
+            exact = reference_lift_colours(base, pal, rng)
+            yield base, core.CompleteColouring(n, 3, len(pal), exact), palette
+            if exact.size and len(pal) > 1:
+                broken = exact.copy()
+                hit = rng.choice(exact.size, size=min(3, exact.size), replace=False)
+                broken[hit] = (broken[hit] + rng.integers(1, len(pal), size=hit.size)) % len(pal)
+                yield base, core.CompleteColouring(n, 3, len(pal), broken), palette
+                noise = rng.integers(0, len(pal), size=exact.size, dtype=np.uint8)
+                yield base, core.CompleteColouring(n, 3, len(pal), noise), palette
+    base = random_colouring_array(rng, 5, 2, 3)
+    yield base, random_colouring_array(rng, 5, 3, 2), (0, 1, 2)  # q mismatch
+    yield base, random_colouring_array(rng, 6, 3, 3), (0, 1, 2)  # n mismatch
+    yield base, random_colouring_array(rng, 5, 2, 3), (0, 1, 2)  # k mismatch
+
+
+def test_verify_complement_lift_matches_scalar_reference():
+    kinds = {}
+    for base, lifted, palette in complement_lift_corpus():
+        want = scalar_verify_complement_lift(lifted, base, palette)
+        got = verifiers.verify_complement_lift(lifted, base, palette)
+        assert got == want, (base.n, palette, got, want)
+        kind = None if want is None else want.kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # the corpus reaches every outcome, not only the first-triple failures
+    assert set(kinds) == {None, "input", "palette", "lift"}
+    assert min(kinds.values()) >= 3
+
+
+def test_verify_complement_lift_full_palette_triangle():
+    # the triangle (0, 1, 2) shows 0, 1, 2; the earlier lift error at the
+    # same triple is not reached because the palette is checked first
+    base = core.CompleteColouring(4, 2, 3, np.array([0, 1, 2, 0, 0, 0], dtype=np.uint8))
+    lifted = core.CompleteColouring(4, 3, 3, np.full(4, 2, dtype=np.uint8))
+    v = verifiers.verify_complement_lift(lifted, base, (0, 1, 2))
+    assert (v.kind, v.message, v.pair) == (
+        "palette", "triangle (0, 1, 2) uses the whole palette", (0, 1, 2)
+    )
+    # an out-of-range palette entry is absent from every triangle: (0, 1, 2)
+    # wants it, so the first bad triple is (0, 1, 3), whose edges are all 0
+    v = verifiers.verify_complement_lift(
+        core.CompleteColouring(4, 3, 4, np.full(4, 3, dtype=np.uint8)), base, (0, 1, 2, 300)
+    )
+    assert (v.kind, v.message, v.pair) == (
+        "lift", "triple (0, 1, 3) coloured 3, expected 1", (0, 1, 3)
+    )
+
+
 def test_verify_complement_lift_structure():
     from hedgehog import constructions
 
@@ -196,7 +306,36 @@ def test_verify_complement_lift_structure():
     colours[7] = (colours[7] + 1) % 4
     broken = core.CompleteColouring(9, 3, 4, colours)
     v = verifiers.verify_complement_lift(broken, base, (0, 1, 2, 3))
-    assert v is not None
+    tri = tuple(core.unrank_subset(7, 9, 3))
+    assert v.kind == "lift"
+    assert v.pair == tri
+    assert v.message == (
+        f"triple {tri} coloured {colours[7]}, expected {lifted.colours[7]}"
+    )
+
+
+def test_verifiers_import_only_core():
+    # the certificate checks must stay independent of the code they police
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(verifiers.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "hedgehog" + ("." + module if module else "")
+            if node.module is None:
+                imported.update(f"{module}.{alias.name}" for alias in node.names)
+            else:
+                imported.add(module)
+    package = {name for name in imported if name.split(".")[0] == "hedgehog"}
+    assert package == {"hedgehog.core"}, package
+    for forbidden in ("constructions", "finder", "extractors"):
+        assert not any(forbidden in name.split(".") for name in imported)
 
 
 def test_exhaustive_ramsey_tiny():
