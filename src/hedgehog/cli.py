@@ -19,11 +19,9 @@ same for a direct call and for a batch entry:
 from __future__ import annotations
 
 import argparse
-import os
 import shlex
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import constructions, extractors, finder, verifiers
 from .core import (
@@ -34,7 +32,6 @@ from .core import (
     StagedFailure,
     ToolkitError,
     colouring_to_text,
-    pair_colour_counts,
     read_colouring,
     write_colouring,
 )
@@ -113,12 +110,6 @@ def build_parser() -> _Parser:
         prog="hedgehog",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for batch runs (default HEDGEHOG_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -322,13 +313,7 @@ def _cmd_extract(args) -> int:
         # label triangle hypergraph of a 3-coloured input, then extract
         if col.k != 3 or col.q != 3:
             raise InvalidArgument("spencer extraction expects a k=3, q=3 colouring")
-        theta = finder.pair_threshold(args.t)
-        counts = pair_colour_counts(col)
-        labels = finder.label_pairs(counts, theta)
-        aux = finder.AuxiliaryGraphColouring(
-            n=col.n, t=args.t, q=3, theta=theta, labels=labels, counts=counts
-        )
-        hyper = extractors.rbg_label_hypergraph(aux)
+        hyper = extractors.rbg_label_hypergraph(finder.pair_profile(col, args.t))
         chosen = extractors.spencer_independent_set(hyper, args.seed, args.trials)
         sys.stdout.write(
             f"hypergraph edges {hyper.edge_count}\n"
@@ -478,8 +463,7 @@ def _cmd_batch(args) -> int:
     """Run every manifest line as its own command; aggregate a table.
 
     Lines are shell-split argv lists; blank lines and # comments are
-    skipped.  Entries run in parallel when --threads (or HEDGEHOG_THREADS)
-    exceeds 1; parallelism changes wall time only, never verdicts.
+    skipped.  Entries run one after another, in manifest order.
     """
     with open(args.manifest) as fh:
         lines = [
@@ -487,11 +471,9 @@ def _cmd_batch(args) -> int:
             for ln in fh
             if ln.strip() and not ln.strip().startswith("#")
         ]
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HEDGEHOG_THREADS", "1"))
 
-    def run_one(line: str) -> tuple[str, int, float]:
+    rows = []
+    for line in lines:
         start = time.perf_counter()
         try:
             try:
@@ -501,13 +483,7 @@ def _cmd_batch(args) -> int:
             code = _run_argv(argv)
         except _MAPPED as exc:
             code = exit_code_for(exc)
-        return line, code, time.perf_counter() - start
-
-    if threads > 1 and len(lines) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, lines))
-    else:
-        rows = [run_one(line) for line in lines]
+        rows.append((line, code, time.perf_counter() - start))
 
     width = max((len(r[0]) for r in rows), default=7)
     sys.stdout.write(f"{'command':<{width}}  status  seconds\n")

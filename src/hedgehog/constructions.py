@@ -31,6 +31,7 @@ from .core import (
     YELLOW,
     binomial_column,
     check_colouring_shape,
+    check_seed,
     iter_slabs,
     pair_arrays,
 )
@@ -41,8 +42,7 @@ def random_colouring(n: int, k: int, q: int, seed: int) -> CompleteColouring:
     gives a byte-identical colouring on every run."""
     # check the shape and seed before C(n, k) bytes are allocated
     check_colouring_shape(n, k, q)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgument(f"seed {seed!r} is not a non-negative integer")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     colours = rng.integers(0, q, size=math.comb(n, k), dtype=np.uint8)
     return CompleteColouring(n=n, k=k, q=q, colours=colours)
@@ -63,50 +63,17 @@ class ScatteredColouringSpec:
     max_steps: int = 20000
 
 
-def _avoidance_adjacency(cols: list[int], n: int, colour: int) -> list[int]:
-    """Bitmask adjacency of the graph whose edges avoid the given colour."""
-    adj = [0] * n
-    idx = 0
-    for b in range(n):
-        for a in range(b):
-            if cols[idx] != colour:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            idx += 1
-    return adj
-
-
-def _find_clique_of_size(adj: list[int], n: int, t: int) -> list[int] | None:
-    """First t-clique in vertex order, or None (exhaustive)."""
-
-    def rec(members: list[int], cand: int) -> list[int] | None:
-        if len(members) == t:
-            return members.copy()
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if len(members) + 1 + bin(cand & adj[v]).count("1") >= t:
-                members.append(v)
-                got = rec(members, cand & adj[v])
-                members.pop()
-                if got is not None:
-                    return got
-            if len(members) + bin(cand).count("1") < t:
-                return None
-        return None
-
-    return rec([], (1 << n) - 1)
-
-
 def deficient_clique(
     cols: list[int], n: int, t: int, q: int
 ) -> tuple[int, list[int]] | None:
     """A t-clique missing some colour, as (missing colour, clique), or None.
     Scans colours in index order and cliques in lexicographic order, so the
     outcome is deterministic."""
+    col = CompleteColouring(n, 2, q, np.array(cols, dtype=np.uint8))
     for colour in range(q):
-        adj = _avoidance_adjacency(cols, n, colour)
-        clique = _find_clique_of_size(adj, n, t)
+        others = [c for c in range(q) if c != colour]
+        adj = extractors.union_adjacency(col, others)
+        clique = extractors.lex_first_clique([adj], n, t)
         if clique is not None:
             return colour, clique
     return None
@@ -191,6 +158,11 @@ def find_scattered_colouring(
         raise InvalidArgument(f"unknown search mode {spec.search_mode!r}")
     if spec.t > spec.n:
         raise InvalidArgument("t-cliques need t <= n")
+    if spec.max_tries < 0 or spec.max_steps < 0:
+        raise InvalidArgument(
+            f"max_tries={spec.max_tries} and max_steps={spec.max_steps} "
+            "must be non-negative"
+        )
     n, t, q = spec.n, spec.t, spec.q
     m = math.comb(n, 2)
     rng = random.Random(spec.seed)
@@ -429,6 +401,8 @@ def gallai_lower_bound_witness(
     """
     if t < 2:
         raise InvalidArgument("t must be at least 2")
+    if max_tries < 0:
+        raise InvalidArgument(f"max_tries={max_tries} is negative")
     base_size = max(2, int(t / (16 * math.log(t) ** 2)))
     clique_cap = max(3, math.ceil(4 * math.log(t)))
     rng = random.Random(seed)

@@ -198,6 +198,13 @@ def check_colouring_shape(n: int, k: int, q: int) -> None:
         raise InvalidArgument(f"vertex count n={n} out of range")
 
 
+def check_seed(seed) -> None:
+    """Raise InvalidArgument unless seed is a non-negative integer, the
+    seeds numpy's generators accept."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed {seed!r} is not a non-negative integer")
+
+
 @dataclass(frozen=True, eq=False)
 class CompleteColouring:
     """A q-colouring of all k-subsets of [n].

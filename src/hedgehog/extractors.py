@@ -27,10 +27,9 @@ from .core import (
     InvalidArgument,
     StagedFailure,
     ToolkitError,
-    graph_colour_matrix,
+    check_seed,
     iter_slabs,
     pair_arrays,
-    pair_colour_counts,
 )
 
 RBG = (0, 1, 2)
@@ -91,19 +90,58 @@ def max_clique(adj: list[int], n: int) -> list[int]:
     return sorted(best)
 
 
+def lex_first_clique(adjs: list[list[int]], n: int, s: int) -> list[int] | None:
+    """First s-set in lexicographic order that is a clique of at least one of
+    the graphs given by adjacency bitmasks, or None (exhaustive).
+
+    The graphs are searched in lockstep: a branch lives while it is a clique
+    with enough common neighbours above its last vertex in some graph, so
+    the search stops at the answer instead of exhausting each graph in turn.
+    """
+    members: list[int] = []
+
+    def rec(cands: list[int]) -> list[int] | None:
+        # cands[i]: vertices joined to every member in graph i and above the
+        # last member, or 0 once graph i cannot complete the branch
+        if len(members) == s:
+            return members.copy()
+        while True:
+            pool = 0
+            for c in cands:
+                pool |= c
+            if not pool:
+                return None
+            v = (pool & -pool).bit_length() - 1
+            nxt = [0] * len(cands)
+            live = False  # v completes the branch when no common vertex is left
+            for i, c in enumerate(cands):
+                if c >> v & 1:
+                    c ^= 1 << v
+                    cands[i] = c if len(members) + c.bit_count() >= s else 0
+                    common = c & adjs[i][v]
+                    if len(members) + 1 + common.bit_count() >= s:
+                        nxt[i] = common
+                        live = True
+            if live:
+                members.append(v)
+                got = rec(nxt)
+                members.pop()
+                if got is not None:
+                    return got
+
+    return rec([(1 << n) - 1 for _ in adjs])
+
+
 def union_adjacency(col: CompleteColouring, colours) -> list[int]:
     """Adjacency bitmasks of the graph formed by edges whose colour lies in
     the given set."""
     if col.k != 2:
         raise InvalidArgument("union_adjacency needs a k=2 colouring")
     wanted = set(colours)
-    n = col.n
-    a, b = pair_arrays(n)
-    adj = [0] * n
-    cols = col.colours
-    for r in range(len(cols)):
-        if int(cols[r]) in wanted:
-            u, v = int(a[r]), int(b[r])
+    a, b = pair_arrays(col.n)
+    adj = [0] * col.n
+    for u, v, c in zip(a.tolist(), b.tolist(), col.colours.tolist()):
+        if c in wanted:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
     return adj
@@ -215,6 +253,9 @@ def spencer_independent_set(
     deterministic full-set pass plus `trials` seeded random passes, so the
     returned set always meets spencer_guarantee; independence is exact.
     """
+    check_seed(seed)
+    if trials < 0:
+        raise InvalidArgument(f"trial count {trials} is negative")
     n = hypergraph.n
     edges = [tuple(int(v) for v in row) for row in hypergraph.edges]
     e = len(edges)
@@ -311,42 +352,26 @@ def gallai_two_coloured_clique(g: GallaiColouring) -> CliqueWitness:
 def three_colour_clique_search(
     col: CompleteColouring, s: int
 ) -> CliqueWitness | None:
-    """Exact backtracking search for an s-vertex set whose internal edges use
-    at most 3 distinct colours.  Branches on vertices in increasing order,
-    prunes on the colour census and on running out of vertices; a None
-    answer is exhaustive."""
+    """The lexicographically first s-vertex set whose internal edges use at
+    most 3 distinct colours, with its colour census; None is exhaustive.
+    Such a set is an s-clique of the union graph of some 3 colours (of all
+    colours when q <= 3), so one lockstep search over those graphs finds
+    it."""
     if col.k != 2:
         raise InvalidArgument("clique search needs a k=2 colouring")
     if s < 1:
         raise InvalidArgument("clique size must be positive")
-    n = col.n
-    if s > n:
+    if s > col.n:
         return None
-    if s == 1:
-        return CliqueWitness((0,), frozenset())
-    mat = graph_colour_matrix(col).tolist()
-    members: list[int] = []
-
-    def rec(census: int, start: int) -> CliqueWitness | None:
-        if len(members) == s:
-            return CliqueWitness(
-                tuple(members),
-                frozenset(c for c in range(col.q) if census >> c & 1),
-            )
-        for v in range(start, n - (s - len(members)) + 1):
-            cen = census
-            for u in members:
-                cen |= 1 << mat[u][v]
-            if cen.bit_count() > 3:
-                continue
-            members.append(v)
-            found = rec(cen, v + 1)
-            members.pop()
-            if found is not None:
-                return found
+    adjs = [
+        union_adjacency(col, palette)
+        for palette in combinations(range(col.q), min(3, col.q))
+    ]
+    best = lex_first_clique(adjs, col.n, s)
+    if best is None:
         return None
-
-    return rec(0, 0)
+    census = frozenset(col.colour_of(pair) for pair in combinations(best, 2))
+    return CliqueWitness(tuple(best), census)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +543,8 @@ def f_oracle(
         raise InvalidArgument("t must be at least 2")
     if mode not in ("auto", "exhaustive", "witness"):
         raise InvalidArgument(f"unknown mode {mode!r}")
+    if node_budget < 0:
+        raise InvalidArgument(f"node budget {node_budget} is negative")
     statuses: dict[int, str] = {}
     witnesses: dict[int, CompleteColouring] = {}
     value = None
@@ -563,6 +590,9 @@ def f_oracle(
 
 # ---------------------------------------------------------------------------
 # three-colour pipeline
+
+# labels carry at most the three bits red, blue and green
+_POPCOUNT = np.array([bin(m).count("1") for m in range(8)], dtype=np.intp)
 
 
 def triangle_count_bounds(t: int, n: int) -> tuple[int, int | None]:
@@ -646,25 +676,21 @@ def three_colour_pipeline(
         gallai_target = t
     if clique_target < t:
         raise InvalidArgument("clique_target below body size t")
+    check_seed(seed)
     trace = PipelineTrace()
 
     # stage 1: label the graph edges by scarce triple colours, yellow = none
-    theta = finder.pair_threshold(t)
-    counts = pair_colour_counts(colouring)
-    labels = finder.label_pairs(counts, theta)
-    aux = finder.AuxiliaryGraphColouring(
-        n=n, t=t, q=3, theta=theta, labels=labels, counts=counts
-    )
-    sizes = np.bincount(
-        np.array([int(m).bit_count() for m in labels.tolist()]), minlength=4
-    )
+    aux = finder.pair_profile(colouring, t)
+    labels = aux.labels
+    label_size = _POPCOUNT[labels]
+    sizes = np.bincount(label_size, minlength=4)
     trace.add(
         "aux-labels",
-        theta=theta,
+        theta=aux.theta,
         yellow=int(sizes[0]),
         single=int(sizes[1]),
         double=int(sizes[2]),
-        triple=int(sizes[3]) if len(sizes) > 3 else 0,
+        triple=int(sizes[3]),
     )
 
     # stage 2: triangles carrying all three labels form a sparse hypergraph
@@ -685,8 +711,6 @@ def three_colour_pipeline(
     # stage 4: doubly-labelled edges inside U; a high-degree vertex gives an
     # immediate hedgehog in the colour its label pair excludes
     mat_label: dict[tuple[int, int], int] = {}
-    u_index = {v: i for i, v in enumerate(u_set)}
-    degree = [0] * len(u_set)
     neighbours: list[list[int]] = [[] for _ in u_set]
     for i, u in enumerate(u_set):
         for j in range(i + 1, len(u_set)):
@@ -694,11 +718,9 @@ def three_colour_pipeline(
             mask = int(labels[math.comb(v, 2) + u])
             mat_label[(u, v)] = mask
             if mask.bit_count() == 2:
-                degree[i] += 1
-                degree[j] += 1
                 neighbours[i].append(v)
                 neighbours[j].append(u)
-    heavy = next((i for i in range(len(u_set)) if degree[i] >= t), None)
+    heavy = next((i for i, nb in enumerate(neighbours) if len(nb) >= t), None)
     if heavy is not None:
         u = u_set[heavy]
         masks = {mat_label[tuple(sorted((u, v)))] for v in neighbours[heavy]}
@@ -724,16 +746,10 @@ def three_colour_pipeline(
             raise ToolkitError(f"pipeline produced an invalid embedding: {problem}")
         trace.add("double-label-degree", short_circuit=u, colour=excluded)
         return emb, trace
-    trace.add("double-label-degree", max_degree=max(degree, default=0))
+    trace.add("double-label-degree", max_degree=max(map(len, neighbours), default=0))
 
     # stage 5: peel U to a set V with no doubly-labelled edges
-    v_set: list[int] = []
-    dropped: set[int] = set()
-    for i, u in enumerate(u_set):
-        if u in dropped:
-            continue
-        v_set.append(u)
-        dropped.update(neighbours[i])
+    v_set = finder._greedy_peel(u_set, n, label_size == 2)
     trace.add("peel", size=len(v_set))
 
     # stage 6: on V every edge has at most one label; colour unlabelled

@@ -83,11 +83,10 @@ def label_pairs(counts: np.ndarray, theta: int) -> np.ndarray:
 
 
 def pair_profile(colouring: CompleteColouring, t: int) -> AuxiliaryGraphColouring:
-    """Label every graph edge by which triple colours are scarce on it."""
-    if colouring.k != 3 or colouring.q != 2:
-        raise InvalidArgument("pair_profile expects a 2-coloured k=3 colouring")
-    if colouring.n < 3:
-        raise InvalidArgument("need at least 3 vertices")
+    """Label every graph edge by which triple colours are scarce on it; the
+    finder runs on 2-colourings, the three-colour pipeline on 3-colourings."""
+    if colouring.k != 3 or colouring.q not in (2, 3):
+        raise InvalidArgument("pair_profile expects a 2- or 3-coloured k=3 colouring")
     theta = pair_threshold(t)
     counts = pair_colour_counts(colouring)
     return AuxiliaryGraphColouring(
@@ -100,6 +99,30 @@ def pair_profile(colouring: CompleteColouring, t: int) -> AuxiliaryGraphColourin
     )
 
 
+def _greedy_peel(order, n: int, avoid: np.ndarray) -> list[int]:
+    """Greedy independent set in the graph on [n] whose edges are the pairs
+    flagged in avoid (a boolean array over colex pair ranks): walk the given
+    vertex order and keep each vertex no kept vertex is joined to.  The
+    choice is online, so the first t vertices kept are those a walk stopping
+    at t would keep."""
+    a, b = pair_arrays(n)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(a[avoid].tolist(), b[avoid].tolist()):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    kept: list[int] = []
+    dropped: set[int] = set()
+    for v in order:
+        if v not in dropped:
+            kept.append(v)
+            dropped.update(neighbours[v])
+    return kept
+
+
+def _labelled(aux: AuxiliaryGraphColouring, colour: int) -> np.ndarray:
+    return (aux.labels >> colour & 1).astype(bool)
+
+
 def classify_vertices(aux: AuxiliaryGraphColouring) -> VertexClass:
     """Tag each vertex red when its red-labelled degree is below 2t^2, else
     blue, and report any vertex that is heavy in both labels."""
@@ -108,7 +131,7 @@ def classify_vertices(aux: AuxiliaryGraphColouring) -> VertexClass:
     a, b = pair_arrays(n)
     degrees = np.zeros((n, q), dtype=np.int64)
     for colour in range(q):
-        sel = (aux.labels >> colour & 1).astype(bool)
+        sel = _labelled(aux, colour)
         if sel.any():
             degrees[:, colour] += np.bincount(a[sel], minlength=n)
             degrees[:, colour] += np.bincount(b[sel], minlength=n)
@@ -131,35 +154,18 @@ def low_degree_body(
     of size at least (n/2) / (2t^2) >= t once n >= 4t^3.  Returns the
     majority colour and the first t vertices chosen.
     """
-    n = aux.n
     red_count = int((cls.tags == 0).sum())
-    majority = 0 if 2 * red_count >= n else 1
-    members = np.flatnonzero(cls.tags == majority)
-    member_set = set(members.tolist())
-
-    sel = (aux.labels >> majority & 1).astype(bool)
-    a, b = pair_arrays(n)
-    adjacency: dict[int, list[int]] = {v: [] for v in member_set}
-    for u, v in zip(a[sel].tolist(), b[sel].tolist()):
-        if u in member_set and v in member_set:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-
-    body: list[int] = []
-    discarded: set[int] = set()
-    for v in members.tolist():
-        if v in discarded:
-            continue
-        body.append(v)
-        if len(body) == t:
-            return majority, body
-        discarded.update(adjacency[v])
-    raise StagedFailure(
-        "low-degree-body",
-        f"majority class of {len(member_set)} vertices peeled to only "
-        f"{len(body)} of the required {t}",
-        witness={"majority": majority, "body": body, "class_size": len(member_set)},
-    )
+    majority = 0 if 2 * red_count >= aux.n else 1
+    members = np.flatnonzero(cls.tags == majority).tolist()
+    body = _greedy_peel(members, aux.n, _labelled(aux, majority))[:t]
+    if len(body) < t:
+        raise StagedFailure(
+            "low-degree-body",
+            f"majority class of {len(members)} vertices peeled to only "
+            f"{len(body)} of the required {t}",
+            witness={"majority": majority, "body": body, "class_size": len(members)},
+        )
+    return majority, body
 
 
 def embed_spines(
@@ -216,23 +222,8 @@ def _peel_zero_count_body(
 ) -> list[int] | None:
     """Greedy independent set in the graph of pairs with no triple of the
     given colour at all (the weakest scarcity labelling)."""
-    n = aux.n
-    bad = aux.counts[:, colour] == 0
-    a, b = pair_arrays(n)
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in zip(a[bad].tolist(), b[bad].tolist()):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    body: list[int] = []
-    discarded: set[int] = set()
-    for v in range(n):
-        if v in discarded:
-            continue
-        body.append(v)
-        if len(body) == t:
-            return body
-        discarded.update(adjacency[v])
-    return None
+    body = _greedy_peel(range(aux.n), aux.n, aux.counts[:, colour] == 0)[:t]
+    return body if len(body) == t else None
 
 
 def find_hedgehog_in_colour(
@@ -242,40 +233,7 @@ def find_hedgehog_in_colour(
     no edge labelled with that colour, embed greedily, verify."""
     if colour not in (0, 1):
         raise InvalidArgument("forced colour must be 0 or 1")
-    shape = hedgehog_shape(t, colouring.k)
-    if colouring.n < shape.vertex_count:
-        raise StagedFailure(
-            "size",
-            f"n={colouring.n} cannot host a hedgehog on {shape.vertex_count} vertices",
-        )
-    aux = pair_profile(colouring, t)
-    n = aux.n
-    sel = (aux.labels >> colour & 1).astype(bool)
-    a, b = pair_arrays(n)
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in zip(a[sel].tolist(), b[sel].tolist()):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    body: list[int] = []
-    discarded: set[int] = set()
-    for v in range(n):
-        if v in discarded:
-            continue
-        body.append(v)
-        if len(body) == t:
-            break
-        discarded.update(adjacency[v])
-    if len(body) < t:
-        raise StagedFailure(
-            "low-degree-body",
-            f"no size-{t} body avoids edges labelled {colour}",
-            witness={"colour": colour, "body": body},
-        )
-    emb = embed_spines(colouring, body, colour)
-    problem = verifiers.verify_embedding(emb, colouring)
-    if problem is not None:
-        raise ToolkitError(f"finder produced an invalid embedding: {problem}")
-    return emb
+    return _find(colouring, t, colour)
 
 
 def find_monochromatic_hedgehog(
@@ -290,35 +248,59 @@ def find_monochromatic_hedgehog(
     (pairs hosting zero triples of the colour) before propagating the
     original failure; any embedding returned is verified either way.
     """
+    return _find(colouring, t, None)
+
+
+def _find(
+    colouring: CompleteColouring, t: int, forced: int | None
+) -> HedgehogEmbedding:
+    """The finder's size check, profile and verify-before-return, around the
+    majority-class search or, when forced names a colour, a body peeled in
+    vertex order from the edges without that colour's label."""
     shape = hedgehog_shape(t, colouring.k)
     if colouring.n < shape.vertex_count:
         raise StagedFailure(
             "size",
             f"n={colouring.n} cannot host a hedgehog on {shape.vertex_count} vertices",
         )
+    if colouring.k != 3 or colouring.q != 2:
+        raise InvalidArgument("pair_profile expects a 2-coloured k=3 colouring")
     aux = pair_profile(colouring, t)
-    cls = classify_vertices(aux)
-    emb: HedgehogEmbedding | None = None
-    try:
-        majority, body = low_degree_body(aux, cls, t)
-        # the body spans no majority-labelled edge, so every body pair lies
-        # in at least theta triples of the majority colour
-        emb = embed_spines(colouring, body, majority)
-    except StagedFailure as failure:
-        if colouring.n >= guaranteed_order(t):
-            raise
-        for colour in (0, 1):
-            body2 = _peel_zero_count_body(aux, colour, t)
-            if body2 is None:
-                continue
-            try:
-                emb = embed_spines(colouring, body2, colour)
-                break
-            except StagedFailure:
-                continue
-        if emb is None:
-            raise failure
+    if forced is None:
+        emb = _majority_hedgehog(colouring, aux, t)
+    else:
+        body = _greedy_peel(range(aux.n), aux.n, _labelled(aux, forced))[:t]
+        if len(body) < t:
+            raise StagedFailure(
+                "low-degree-body",
+                f"no size-{t} body avoids edges labelled {forced}",
+                witness={"colour": forced, "body": body},
+            )
+        emb = embed_spines(colouring, body, forced)
     problem = verifiers.verify_embedding(emb, colouring)
     if problem is not None:
         raise ToolkitError(f"finder produced an invalid embedding: {problem}")
     return emb
+
+
+def _majority_hedgehog(
+    colouring: CompleteColouring, aux: AuxiliaryGraphColouring, t: int
+) -> HedgehogEmbedding:
+    cls = classify_vertices(aux)
+    try:
+        majority, body = low_degree_body(aux, cls, t)
+        # the body spans no majority-labelled edge, so every body pair lies
+        # in at least theta triples of the majority colour
+        return embed_spines(colouring, body, majority)
+    except StagedFailure as failure:
+        if colouring.n >= guaranteed_order(t):
+            raise
+        for colour in (0, 1):
+            body = _peel_zero_count_body(aux, colour, t)
+            if body is None:
+                continue
+            try:
+                return embed_spines(colouring, body, colour)
+            except StagedFailure:
+                continue
+        raise failure

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hedgehog import constructions, core, extractors, finder, verifiers
+from reference_oracles import has_monochromatic_hedgehog_slow
 
 
 def report(num, ok, detail):
@@ -286,12 +287,7 @@ def test_criterion_7_triangle_count_bounds():
         col = core.CompleteColouring(
             n, 3, 3, rng.integers(0, 3, size=math.comb(n, 3), dtype=np.uint8)
         )
-        theta = finder.pair_threshold(t)
-        counts = core.pair_colour_counts(col)
-        labels = finder.label_pairs(counts, theta)
-        aux = finder.AuxiliaryGraphColouring(
-            n=n, t=t, q=3, theta=theta, labels=labels, counts=counts
-        )
+        aux = finder.pair_profile(col, t)
         count = extractors.rbg_label_hypergraph(aux).edge_count
         loose, tight = extractors.triangle_count_bounds(t, n)
         assert count <= loose, (t, n, count, loose)
@@ -319,7 +315,7 @@ def test_criterion_8_exhaustive_small_ramsey():
             verifiers.has_monochromatic_hedgehog(result.counterexample, 3, colour)
             is None
         )
-        assert not verifiers.has_monochromatic_hedgehog_slow(
+        assert not has_monochromatic_hedgehog_slow(
             result.counterexample, 3, colour
         )
 

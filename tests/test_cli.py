@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hedgehog import cli, constructions, core, verifiers
+from hedgehog import cli, constructions, core, extractors, verifiers
 
 
 def run_cli(args, expect=None):
@@ -218,21 +218,6 @@ def test_batch_reports_failures(tmp_path):
     assert "FAIL(2)" in r.stdout
 
 
-def test_batch_threads_same_verdicts(tmp_path):
-    files = [tmp_path / f"t{i}.hcol" for i in range(3)]
-    manifest = tmp_path / "m.txt"
-    manifest.write_text(
-        "\n".join(
-            f"generate random -n 12 -k 3 -q 2 --seed {i} --out {f}"
-            for i, f in enumerate(files)
-        )
-        + "\n"
-    )
-    r1 = run_cli(["batch", "--manifest", str(manifest)], expect=0)
-    r2 = run_cli(["--threads", "3", "batch", "--manifest", str(manifest)], expect=0)
-    assert r1.stdout.count("PASS") == r2.stdout.count("PASS") == 3
-
-
 def test_help_covers_subcommands():
     r = run_cli(["--help"], expect=0)
     for name in ("generate", "lift", "find", "extract", "pipeline",
@@ -336,3 +321,87 @@ def test_verify_lift_reports_corrupted_triple(tmp_path, capsys):
         f"violation lift: triple {tri} coloured {colours[11]}, "
         f"expected {lifted.colours[11]}\n"
     )
+
+
+def test_exhaustive_check_fails_closed(capsys):
+    search = ["search", "exhaustive", "--t", "3"]
+    assert cli.main(search + ["-q", "0", "-n", "5"]) == 64
+    assert cli.main(search + ["-q", "2", "-n", "-4"]) == 64
+    assert cli.main(["search", "exhaustive", "--t", "1", "-q", "2", "-n", "5"]) == 64
+    assert capsys.readouterr().err.count("error: ") == 3
+
+
+@pytest.fixture
+def three_coloured(tmp_path):
+    path = tmp_path / "t3.hcol"
+    core.write_colouring(constructions.random_colouring(12, 3, 3, 0), path)
+    return str(path)
+
+
+def test_pipeline_negative_seed_is_usage_error(three_coloured, capsys):
+    argv = ["pipeline", "--t", "3", "--in", three_coloured, "--seed", "-1"]
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err == "error: seed -1 is not a non-negative integer\n"
+
+
+def test_spencer_negative_seed_is_usage_error(three_coloured, capsys):
+    argv = ["extract", "spencer", "--in", three_coloured, "--t", "3", "--seed", "-1"]
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err == "error: seed -1 is not a non-negative integer\n"
+
+
+def test_spencer_negative_trials_is_usage_error(three_coloured, capsys):
+    argv = ["extract", "spencer", "--in", three_coloured, "--t", "3", "--seed", "0"]
+    assert cli.main(argv + ["--trials", "-1"]) == 64
+    assert capsys.readouterr().out == ""
+    # the library call fails closed too, instead of returning [] against a
+    # promise of 4 on two disjoint edges
+    hyper = extractors.TriangleHypergraph.from_edge_list(6, [(0, 1, 2), (3, 4, 5)])
+    assert extractors.spencer_guarantee(6, 2) == 4
+    with pytest.raises(core.InvalidArgument):
+        extractors.spencer_independent_set(hyper, 0, trials=-1)
+
+
+def test_scattered_negative_max_steps_is_usage_error(tmp_path):
+    out = tmp_path / "s.hcol"
+    argv = ["generate", "scattered", "-n", "6", "--t", "3", "-q", "3", "--seed", "0",
+            "--max-steps", "-1", "--out", str(out)]
+    assert cli.main(argv) == 64
+    assert not out.exists()
+
+
+def test_scattered_negative_max_tries_is_usage_error(tmp_path):
+    out = tmp_path / "s.hcol"
+    argv = ["generate", "scattered", "-n", "6", "--t", "3", "-q", "3", "--seed", "0",
+            "--max-tries", "-1", "--out", str(out)]
+    assert cli.main(argv) == 64
+    assert not out.exists()
+
+
+def test_gallai_witness_negative_max_tries_is_usage_error(tmp_path):
+    out = tmp_path / "g.hcol"
+    argv = ["generate", "gallai-witness", "--t", "5", "--seed", "0",
+            "--max-tries", "-1", "--out", str(out)]
+    assert cli.main(argv) == 64
+    assert not out.exists()
+
+
+def test_f_oracle_negative_budget_is_usage_error(capsys):
+    assert cli.main(["f-oracle", "--t", "3", "--cap", "5", "--budget", "-1"]) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_pipeline_below_three_vertices_is_a_staged_failure(n, tmp_path, capsys):
+    path = tmp_path / "tiny.hcol"
+    core.write_colouring(core.CompleteColouring(n, 3, 3, np.zeros(0, dtype=np.uint8)), path)
+    assert cli.main(["pipeline", "--t", "3", "--in", str(path), "--seed", "0"]) == 1
+    assert capsys.readouterr().err == (
+        f"failed: [three-colour-clique] peeled set of {n} cannot hold a clique of 27\n"
+    )
+
+
+def test_threads_flag_is_gone(tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("search exhaustive --t 2 -q 2 -n 3\n")
+    assert cli.main(["--threads", "2", "batch", "--manifest", str(manifest)]) == 64

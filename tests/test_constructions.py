@@ -80,6 +80,33 @@ def test_scattered_rejection_mode_reproducible():
         assert col1.equals(col2)
 
 
+def test_deficient_clique_is_colour_major_lex_first():
+    rng = np.random.default_rng(12)
+    found = 0
+    for _ in range(400):
+        n = int(rng.integers(0, 10))
+        q = int(rng.integers(1, 5))
+        t = int(rng.integers(1, 6))
+        cols = rng.integers(0, q, size=math.comb(n, 2)).tolist()
+        colour_of = {pair: cols[core.pair_rank(*pair)] for pair in combinations(range(n), 2)}
+        expect = None
+        for colour in range(q):
+            clique = next(
+                (
+                    sub
+                    for sub in combinations(range(n), t)
+                    if all(colour_of[p] != colour for p in combinations(sub, 2))
+                ),
+                None,
+            )
+            if clique is not None:
+                expect = (colour, list(clique))
+                break
+        found += expect is not None and expect[0] > 0
+        assert constructions.deficient_clique(cols, n, t, q) == expect, (n, q, t)
+    assert found > 0  # some answers come from a colour after the first
+
+
 def test_complement_lift_examples():
     g = core.CompleteColouring(3, 2, 4, np.array([0, 1, 2], dtype=np.uint8))
     lift = constructions.complement_lift(g, (0, 1, 2, 3))

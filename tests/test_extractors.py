@@ -158,22 +158,30 @@ def test_three_colour_clique_search_trivial():
 
 
 def test_three_colour_clique_search_matches_enumeration():
+    # the answer is the lex-first s-set on at most 3 colours, with its census
     rng = np.random.default_rng(8)
-    for _ in range(100):
+    outcomes = set()
+    for trial in range(360):
+        q = 1 + trial % 6
         n = int(rng.integers(5, 13))
-        s = int(rng.integers(2, 7))
-        col = random_graph_colouring(rng, n, 4)
+        s = int(rng.integers(1, 7))
+        col = random_graph_colouring(rng, n, q)
+        mat = core.graph_colour_matrix(col).tolist()
+
+        def census(sub):
+            return {mat[u][v] for u, v in combinations(sub, 2)}
+
+        brute = next(
+            (sub for sub in combinations(range(n), s) if len(census(sub)) <= 3), None
+        )
         got = extractors.three_colour_clique_search(col, s)
-        brute = None
-        for sub in combinations(range(n), s):
-            cen = {col.colour_of(p) for p in combinations(sub, 2)}
-            if len(cen) <= 3:
-                brute = sub
-                break
-        assert (got is None) == (brute is None)
-        if got is not None:
-            cen = {col.colour_of(p) for p in combinations(got.vertices, 2)}
-            assert cen == set(got.colours) and len(cen) <= 3
+        outcomes.add((q > 3, brute is None))
+        if brute is None:
+            assert got is None, (n, q, s)
+            continue
+        assert got.vertices == brute, (n, q, s)
+        assert set(got.colours) == census(brute)
+    assert {(False, False), (True, False), (True, True)} <= outcomes
 
 
 def test_f_oracle_base_values():
@@ -258,12 +266,8 @@ def test_rbg_label_hypergraph_matches_brute_force():
         col = core.CompleteColouring(
             n, 3, 3, rng.integers(0, 3, size=math.comb(n, 3), dtype=np.uint8)
         )
-        theta = finder.pair_threshold(t)
-        counts = core.pair_colour_counts(col)
-        labels = finder.label_pairs(counts, theta)
-        aux = finder.AuxiliaryGraphColouring(
-            n=n, t=t, q=3, theta=theta, labels=labels, counts=counts
-        )
+        aux = finder.pair_profile(col, t)
+        labels = aux.labels
         expect = [
             tri
             for tri in sorted(combinations(range(n), 3), key=lambda s: s[::-1])
@@ -287,12 +291,8 @@ def test_pipeline_triangle_count_bound_property():
         col = core.CompleteColouring(
             n, 3, 3, rng.integers(0, 3, size=math.comb(n, 3), dtype=np.uint8)
         )
-        theta = finder.pair_threshold(t)
-        counts = core.pair_colour_counts(col)
-        labels = finder.label_pairs(counts, theta)
-        aux = finder.AuxiliaryGraphColouring(
-            n=n, t=t, q=3, theta=theta, labels=labels, counts=counts
-        )
+        aux = finder.pair_profile(col, t)
+        labels = aux.labels
         hyper = extractors.rbg_label_hypergraph(aux)
         loose, tight = extractors.triangle_count_bounds(t, n)
         assert hyper.edge_count <= loose

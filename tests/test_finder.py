@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hedgehog import core, finder, verifiers
+from hedgehog import constructions, core, finder, verifiers
 
 
 def random_two_colouring(n, seed):
@@ -57,6 +57,28 @@ def test_pair_profile_matches_recount():
             mask = int(aux.labels[core.pair_rank(u, v)])
             assert (mask & 1 == 1) == red_scarce
             assert (mask >> 1 & 1 == 1) == blue_scarce
+
+
+def test_pair_profile_three_colours_matches_hand_built():
+    # the pipeline's stage 1 and `extract spencer` once built this by hand
+    for n, t in ((12, 2), (14, 3), (30, 4)):
+        col = constructions.random_colouring(n, 3, 3, n)
+        theta = finder.pair_threshold(t)
+        counts = core.pair_colour_counts(col)
+        aux = finder.pair_profile(col, t)
+        assert (aux.n, aux.t, aux.q, aux.theta) == (n, t, 3, theta)
+        assert np.array_equal(aux.counts, counts)
+        assert np.array_equal(aux.labels, finder.label_pairs(counts, theta))
+        for u, v in combinations(range(n), 2):
+            seen = [0, 0, 0]
+            for w in range(n):
+                if w not in (u, v):
+                    seen[col.colour_of((u, v, w))] += 1
+            expect = sum(1 << c for c in range(3) if seen[c] < theta)
+            assert int(aux.labels[core.pair_rank(u, v)]) == expect
+    for bad in (constructions.random_colouring(8, 3, 4, 0), constructions.random_colouring(8, 2, 3, 0)):
+        with pytest.raises(core.InvalidArgument):
+            finder.pair_profile(bad, 2)
 
 
 def test_label_disjointness_at_scale():
@@ -141,6 +163,35 @@ def test_low_degree_body_perfect_matching():
     cls = finder.classify_vertices(aux)
     majority, body = finder.low_degree_body(aux, cls, 4)
     assert majority == 0 and body == [0, 2, 4, 6]
+
+
+def test_peel_failures_keep_stage_and_witness():
+    # red labels on every pair but (0, 2): the peel keeps 0, drops 1 and 3,
+    # keeps 2, and the majority class of 4 peels to 2 of the required 3
+    n = 4
+    labels = np.ones(math.comb(n, 2), dtype=np.uint8)
+    labels[core.pair_rank(0, 2)] = 0
+    counts = np.full((math.comb(n, 2), 2), 99, dtype=np.int64)
+    aux = finder.AuxiliaryGraphColouring(n=n, t=3, q=2, theta=9, labels=labels, counts=counts)
+    with pytest.raises(core.StagedFailure) as info:
+        finder.low_degree_body(aux, finder.classify_vertices(aux), 3)
+    assert info.value.stage == "low-degree-body"
+    assert str(info.value) == (
+        "[low-degree-body] majority class of 4 vertices peeled to only 2 of the required 3"
+    )
+    assert info.value.witness == {"majority": 0, "body": [0, 2], "class_size": 4}
+    # the same graph as zero-count pairs: the fallback peel finds 2 of 3
+    zero = np.where(labels[:, None] == 1, 0, 5).repeat(2, axis=1)
+    aux.counts = zero
+    assert finder._peel_zero_count_body(aux, 0, 3) is None
+    assert finder._peel_zero_count_body(aux, 1, 2) == [0, 2]
+    # forced blue on an all-red colouring: every pair is blue-labelled
+    mono = core.CompleteColouring(30, 3, 2, np.zeros(math.comb(30, 3), dtype=np.uint8))
+    with pytest.raises(core.StagedFailure) as info:
+        finder.find_hedgehog_in_colour(mono, 3, 1)
+    assert info.value.stage == "low-degree-body"
+    assert str(info.value) == "[low-degree-body] no size-3 body avoids edges labelled 1"
+    assert info.value.witness == {"colour": 1, "body": [0]}
 
 
 def test_low_degree_body_label_free_at_scale():
