@@ -19,6 +19,7 @@ same for a direct call and for a batch entry:
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 import time
@@ -441,9 +442,15 @@ def _cmd_f_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # built on first use, not at import, and reused by every later call and
+    # batch entry: parsing leaves no state in the parser
+    return build_parser()
+
+
 def _run_argv(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     handlers = {
         "generate": _cmd_generate,
         "lift": _cmd_lift,

@@ -525,19 +525,24 @@ def degeneracy(edges, n: int | None = None) -> int:
 # the text functions wrap the byte ones.
 
 _HCOL_HEADER = re.compile(rb"HCOL v1 n=(\d+) k=(\d+) q=(\d+)$")
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-_HEX_VALUES = np.full(256, 255, dtype=np.uint8)
-for _i, _ch in enumerate(b"0123456789abcdef"):
-    _HEX_VALUES[_ch] = _i
+# byte translation tables for the hex body, colour -> digit to write and
+# digit -> colour to read; the read table maps every other byte to 255, an
+# invalid digit, since no colour of a q <= 16 colouring is that large
+_HEX_ENCODE = b"0123456789abcdef".ljust(256, b"?")
+_HEX_DECODE = bytes(b"0123456789abcdef".find(ch) % 256 for ch in range(256))
+
+
+def _hcol_parts(col: CompleteColouring) -> tuple[bytes, bytes, bytes]:
+    head = f"HCOL v1 n={col.n} k={col.k} q={col.q}\n".encode("ascii")
+    if col.q <= 16:
+        body = col.colours.tobytes().translate(_HEX_ENCODE)
+    else:
+        body = " ".join(str(int(c)) for c in col.colours).encode("ascii")
+    return head, body, b"\n"
 
 
 def colouring_to_bytes(col: CompleteColouring) -> bytes:
-    head = f"HCOL v1 n={col.n} k={col.k} q={col.q}\n".encode("ascii")
-    if col.q <= 16:
-        body = _HEX_DIGITS[col.colours].tobytes()
-    else:
-        body = " ".join(str(int(c)) for c in col.colours).encode("ascii")
-    return head + body + b"\n"
+    return b"".join(_hcol_parts(col))
 
 
 def colouring_from_bytes(data: bytes) -> CompleteColouring:
@@ -553,9 +558,11 @@ def colouring_from_bytes(data: bytes) -> CompleteColouring:
     expect = math.comb(n, k)
     body = data[newline + 1 :]
     if q <= 16:
-        raw = body.translate(None, b" \t\r\n")
-        vals = _HEX_VALUES[np.frombuffer(raw, dtype=np.uint8)]
-        if vals.size and int(vals.max()) == 255:
+        # one pass drops the blanks and maps digits to colours; the result
+        # is a readonly uint8 view that the colouring keeps without a copy
+        vals = np.frombuffer(body.translate(_HEX_DECODE, b" \t\r\n"), dtype=np.uint8)
+        top = int(vals.max()) if vals.size else 0
+        if top == 255:
             bad = int(np.argmax(vals == 255))
             raise InvalidArgument(f"invalid hex digit at body position {bad}")
     else:
@@ -567,15 +574,16 @@ def colouring_from_bytes(data: bytes) -> CompleteColouring:
             )
         except (ValueError, OverflowError) as exc:
             raise InvalidArgument(f"invalid decimal colour: {exc}") from exc
+        top = int(vals.max()) if vals.size else 0
     if vals.size != expect:
         raise InvalidArgument(
             f"body has {vals.size} colours, expected C({n},{k})={expect}"
         )
-    if vals.size and int(vals.max()) >= q:
-        raise InvalidArgument(f"colour {int(vals.max())} out of range for q={q}")
+    if vals.size and top >= q:
+        raise InvalidArgument(f"colour {top} out of range for q={q}")
     if vals.size and int(vals.min()) < 0:
         raise InvalidArgument(f"colour {int(vals.min())} out of range for q={q}")
-    return CompleteColouring(n=n, k=k, q=q, colours=vals.astype(np.uint8))
+    return CompleteColouring(n=n, k=k, q=q, colours=vals)
 
 
 def colouring_to_text(col: CompleteColouring) -> str:
@@ -588,7 +596,7 @@ def colouring_from_text(text: str) -> CompleteColouring:
 
 def write_colouring(col: CompleteColouring, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(colouring_to_bytes(col))
+        fh.writelines(_hcol_parts(col))
 
 
 def read_colouring(path) -> CompleteColouring:

@@ -28,6 +28,7 @@ from .core import (
     StagedFailure,
     ToolkitError,
     check_seed,
+    hedgehog_shape,
     iter_slabs,
     pair_arrays,
 )
@@ -669,6 +670,7 @@ def three_colour_pipeline(
     """
     if colouring.k != 3 or colouring.q != 3:
         raise InvalidArgument("pipeline expects a 3-coloured k=3 colouring")
+    hedgehog_shape(t, 3)
     n = colouring.n
     if clique_target is None:
         clique_target = t**3

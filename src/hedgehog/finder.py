@@ -33,6 +33,7 @@ from .core import (
 def pair_threshold(t: int) -> int:
     """An edge gets a colour label when fewer than this many triples of that
     colour contain it: C(t,2) + t."""
+    hedgehog_shape(t, 3)
     return math.comb(t, 2) + t
 
 
@@ -85,9 +86,9 @@ def label_pairs(counts: np.ndarray, theta: int) -> np.ndarray:
 def pair_profile(colouring: CompleteColouring, t: int) -> AuxiliaryGraphColouring:
     """Label every graph edge by which triple colours are scarce on it; the
     finder runs on 2-colourings, the three-colour pipeline on 3-colourings."""
+    theta = pair_threshold(t)
     if colouring.k != 3 or colouring.q not in (2, 3):
         raise InvalidArgument("pair_profile expects a 2- or 3-coloured k=3 colouring")
-    theta = pair_threshold(t)
     counts = pair_colour_counts(colouring)
     return AuxiliaryGraphColouring(
         n=colouring.n,

@@ -1,3 +1,5 @@
+import math
+import re
 import shlex
 import subprocess
 import sys
@@ -405,3 +407,97 @@ def test_threads_flag_is_gone(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("search exhaustive --t 2 -q 2 -n 3\n")
     assert cli.main(["--threads", "2", "batch", "--manifest", str(manifest)]) == 64
+
+
+def test_bad_body_size_is_usage_error_like_find(three_coloured, capsys):
+    assert cli.main(["find", "hedgehog", "--t", "0", "--in", three_coloured]) == 64
+    assert capsys.readouterr().err == "error: body size t=0 must be at least k-1=2\n"
+    argv = ["extract", "spencer", "--in", three_coloured, "--t", "-3", "--seed", "0"]
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err == "error: body size t=-3 must be at least k-1=2\n"
+
+
+@pytest.mark.parametrize("t, scale", [(1, "clique_target=1"), (0, ""), (-3, "")])
+def test_pipeline_rejects_body_below_two_before_stage_one(t, scale, three_coloured, capsys):
+    argv = ["pipeline", "--t", str(t), "--in", three_coloured, "--seed", "0", "--scale", scale]
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: body size t={t} must be at least k-1=2\n")
+
+
+# --- one parser per process: every call below runs on the shared parser and
+# must match the same call on a freshly built one, byte for byte
+
+_BATCH_SECONDS = re.compile(r"(PASS|FAIL\(\d+\)) +\d+\.\d\d$", re.MULTILINE)
+
+
+def _run_calls(argvs, capsys):
+    results = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out, err = capsys.readouterr()
+        results.append((code, _BATCH_SECONDS.sub(r"\1", out), err))
+    return results
+
+
+def _shared_and_fresh(argvs, capsys, monkeypatch):
+    cli._shared_parser.cache_clear()
+    shared = _run_calls(argvs, capsys)
+    assert cli._shared_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert _run_calls(argvs, capsys) == shared
+    return shared
+
+
+@pytest.fixture
+def blue_heavy(tmp_path):
+    # mostly blue at n = 4t^3 for t = 2: the default search returns a red
+    # hedgehog, and a blue one exists too
+    path = tmp_path / "b.hcol"
+    rng = np.random.default_rng(3)
+    colours = (rng.random(math.comb(32, 3)) < 0.7).astype(np.uint8)
+    core.write_colouring(core.CompleteColouring(32, 3, 2, colours), path)
+    return str(path)
+
+
+def test_shared_parser_does_not_carry_a_flag_over(blue_heavy, capsys, monkeypatch):
+    find = ["find", "hedgehog", "--t", "2", "--in", blue_heavy]
+    (forced, _, _), (auto, out, _) = _shared_and_fresh(
+        [find + ["--colour", "1"], find], capsys, monkeypatch
+    )
+    assert (forced, auto) == (0, 0)
+    assert "colour 0\n" in out
+
+
+def test_shared_parser_after_a_bad_flag(blue_heavy, capsys, monkeypatch):
+    find = ["find", "hedgehog", "--t", "2", "--in", blue_heavy]
+    bad, good = _shared_and_fresh([find + ["--bogus"], find], capsys, monkeypatch)
+    assert bad[0] == 64 and bad[2].startswith("usage error: ")
+    assert good[0] == 0 and good[1].startswith("HEDGEHOG v1\n")
+
+
+def test_shared_parser_help_is_byte_identical(capsys, monkeypatch):
+    argvs = [["--help"], ["find", "hedgehog", "--help"], ["--help"]]
+    first, sub, again = _shared_and_fresh(argvs, capsys, monkeypatch)
+    assert first == again and first[0] == 0 and first[1].startswith("usage: hedgehog")
+    assert "--colour" in sub[1]
+
+
+def test_shared_parser_in_a_mixed_batch(blue_heavy, tmp_path, capsys, monkeypatch):
+    find = f"find hedgehog --t 2 --in {blue_heavy}"
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(
+        f"{find} --colour 1\n{find}\n{find} --bogus\nsearch exhaustive --t 2 -q 2 -n 2\n"
+        f"verify 'unclosed\n{find}\n"
+    )
+    (code, out, err), = _shared_and_fresh(
+        [["batch", "--manifest", str(manifest)]], capsys, monkeypatch
+    )
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [ln for ln in lines if ln.startswith("colour ")] == ["colour 1", "colour 0", "colour 0"]
+    statuses = [ln.split()[-1] for ln in lines if ln.startswith(("find", "search", "verify"))]
+    assert statuses == ["PASS", "PASS", "FAIL(64)", "FAIL(2)", "FAIL(64)", "PASS"]

@@ -79,6 +79,10 @@ def test_pair_profile_three_colours_matches_hand_built():
     for bad in (constructions.random_colouring(8, 3, 4, 0), constructions.random_colouring(8, 2, 3, 0)):
         with pytest.raises(core.InvalidArgument):
             finder.pair_profile(bad, 2)
+    # a body below k - 1 = 2 is refused before any binomial is taken
+    for t in (1, 0, -3):
+        with pytest.raises(core.InvalidArgument, match=f"body size t={t} must be at least"):
+            finder.pair_profile(constructions.random_colouring(8, 3, 3, 0), t)
 
 
 def test_label_disjointness_at_scale():

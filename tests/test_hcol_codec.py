@@ -1,0 +1,101 @@
+"""Property tests of the HCOL codec against the fancy-index reference codec
+in reference_oracles: the same colouring or exactly the same error, and
+byte-identical output."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hedgehog import core
+from reference_oracles import colouring_from_bytes_reference, colouring_to_bytes_reference
+
+CODEC = settings(max_examples=300, deadline=None, database=None)
+
+
+@st.composite
+def colourings(draw, ks=(2, 3, 4), qs=st.integers(1, 16), max_n=12):
+    k = draw(st.sampled_from(ks))
+    n = draw(st.integers(0, max_n))
+    q = draw(qs)
+    colours = draw(
+        st.lists(st.integers(0, q - 1), min_size=math.comb(n, k), max_size=math.comb(n, k))
+    )
+    return core.CompleteColouring(n, k, q, np.array(colours, dtype=np.uint8))
+
+
+# bytes a body edit may put in: blanks, uppercase and other non-digits,
+# non-ASCII bytes, and any single byte at all
+_NOISE = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\r", b"\n", b"A", b"F", b"g", b"-", b"\xff", b"\xc3\xa9"]),
+    st.binary(min_size=1, max_size=3),
+    st.integers(0, 255).map(lambda c: b"%x" % c),
+    st.integers(-1, 300).map(lambda c: b"%d" % c),
+)
+
+
+@st.composite
+def hcol_files(draw):
+    """A valid header over a body that starts canonical and then takes a few
+    inserts, deletes and replacements anywhere, so it may come out short,
+    long, padded with whitespace or holding bytes that are no digit."""
+    col = draw(colourings(ks=(2, 3), qs=st.sampled_from([1, 2, 3, 9, 10, 15, 16, 17, 200]), max_n=8))
+    data = bytearray(colouring_to_bytes_reference(col))
+    body_start = data.index(b"\n") + 1
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(body_start, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "delete":
+            del data[at : at + draw(st.integers(1, 3))]
+        else:
+            end = at + (edit == "replace")
+            data[at:end] = draw(_NOISE)
+    return bytes(data)
+
+
+def _outcome(parse, data):
+    try:
+        col = parse(data)
+    except core.InvalidArgument as exc:
+        return "error", str(exc)
+    return "ok", (col.n, col.k, col.q, col.colours.tobytes())
+
+
+@CODEC
+@given(hcol_files())
+def test_reader_agrees_with_reference_on_arbitrary_bodies(data):
+    assert _outcome(core.colouring_from_bytes, data) == _outcome(
+        colouring_from_bytes_reference, data
+    )
+
+
+@CODEC
+@given(colourings())
+def test_hex_round_trip_matches_reference(col):
+    data = core.colouring_to_bytes(col)
+    assert data == colouring_to_bytes_reference(col)
+    again = core.colouring_from_bytes(data)
+    assert again.equals(col)
+    assert core.colouring_to_bytes(again) == data
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(colourings(ks=(2, 3), qs=st.sampled_from([2, 16, 17, 200]), max_n=9))
+def test_written_file_equals_colouring_to_bytes(tmp_path_factory, col):
+    path = tmp_path_factory.mktemp("hcol") / "c.hcol"
+    core.write_colouring(col, path)
+    assert path.read_bytes() == core.colouring_to_bytes(col)
+    assert core.read_colouring(path).equals(col)
+
+
+@pytest.mark.parametrize("n, k, q", [(0, 3, 2), (1, 2, 16), (72, 3, 16), (256, 3, 2)])
+def test_codec_matches_reference_at_size(n, k, q):
+    rng = np.random.default_rng(n)
+    col = core.CompleteColouring(
+        n, k, q, rng.integers(0, q, size=math.comb(n, k), dtype=np.uint8)
+    )
+    data = core.colouring_to_bytes(col)
+    assert data == colouring_to_bytes_reference(col)
+    assert core.colouring_from_bytes(data).equals(colouring_from_bytes_reference(data))
