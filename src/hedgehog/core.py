@@ -474,6 +474,54 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
+# exhaustive colouring search
+
+
+def first_use_search(
+    steps: int, q: int, interchangeable: int, place, unplace, node_budget: int | None = None
+) -> tuple[str, list[int] | None, int]:
+    """Depth-first search for a colouring of steps 0 .. steps-1, in order.
+
+    Colours below `interchangeable` are symmetric, so they enter in
+    first-use order: colour c is offered only once 0 .. c-1 are in use.
+    Colours from `interchangeable` to q-1 are always offered, after those.
+    place(step, c) records a colour and returns True, or returns False,
+    leaving no trace, when that step completes an obstruction; unplace(step,
+    c) undoes a recorded colour.  Each internal node counts once, before its
+    colours are tried, and the search gives up once the count passes
+    node_budget.  Returns (status, colours, nodes) with status "found" (and
+    the first complete colouring in depth-first order), "none" or "budget".
+    """
+    # the colours offered while `used` interchangeable colours are in use
+    offers = [
+        (*range(min(used + 1, interchangeable)), *range(interchangeable, q))
+        for used in range(interchangeable + 1)
+    ]
+    colours: list[int] = []
+    nodes = 0
+
+    def rec(step: int, used: int) -> str:
+        nonlocal nodes
+        if step == steps:
+            return "found"
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return "budget"
+        for c in offers[used]:
+            if place(step, c):
+                colours.append(c)
+                status = rec(step + 1, used + 1 if c == used < interchangeable else used)
+                if status != "none":
+                    return status
+                colours.pop()
+                unplace(step, c)
+        return "none"
+
+    status = rec(0, 0)
+    return status, colours if status == "found" else None, nodes
+
+
+# ---------------------------------------------------------------------------
 # degeneracy
 
 
@@ -556,11 +604,15 @@ def colouring_from_bytes(data: bytes) -> CompleteColouring:
         raise InvalidArgument(f"bad HCOL header: {line!r}")
     n, k, q = (int(g) for g in header.groups())
     expect = math.comb(n, k)
-    body = data[newline + 1 :]
     if q <= 16:
-        # one pass drops the blanks and maps digits to colours; the result
-        # is a readonly uint8 view that the colouring keeps without a copy
-        vals = np.frombuffer(body.translate(_HEX_DECODE, b" \t\r\n"), dtype=np.uint8)
+        # one pass over the whole file drops the blanks and maps digits to
+        # colours, so the body is never sliced out; the header's surviving
+        # bytes are skipped, and the readonly uint8 view is kept by the
+        # colouring without a copy
+        skip = len(header.group(0).translate(None, b" \t\r\n"))
+        vals = np.frombuffer(
+            data.translate(_HEX_DECODE, b" \t\r\n"), dtype=np.uint8, offset=skip
+        )
         top = int(vals.max()) if vals.size else 0
         if top == 255:
             bad = int(np.argmax(vals == 255))
@@ -570,7 +622,8 @@ def colouring_from_bytes(data: bytes) -> CompleteColouring:
             # a non-ASCII token fails its decode, a ValueError like any other
             # bad token; an integer beyond int64 fails the array build
             vals = np.array(
-                [int(tok.decode("ascii")) for tok in body.split()], dtype=np.int64
+                [int(tok.decode("ascii")) for tok in data[newline + 1 :].split()],
+                dtype=np.int64,
             )
         except (ValueError, OverflowError) as exc:
             raise InvalidArgument(f"invalid decimal colour: {exc}") from exc

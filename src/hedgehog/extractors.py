@@ -6,7 +6,9 @@ Contains the probabilistic-deletion independent set extractor for sparse
 colours, the oracle for the threshold F(t) (the least n forcing every
 4-colouring to contain a red/blue/green rainbow triangle or a t-clique with
 at most 3 colours), and the staged pipeline that turns a 3-colouring of the
-complete 3-uniform hypergraph into a verified monochromatic hedgehog.
+complete 3-uniform hypergraph into a verified monochromatic hedgehog.  The
+oracle's exhaustive decisions run on the core's first-use colouring search,
+and its witnesses are checked by the verifiers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     StagedFailure,
     ToolkitError,
     check_seed,
+    first_use_search,
     hedgehog_shape,
     iter_slabs,
     pair_arrays,
@@ -196,33 +199,9 @@ def verify_gallai(col: CompleteColouring) -> GallaiColouring:
     return GallaiColouring(colouring=col, verified=tri is None)
 
 
-@dataclass(frozen=True)
-class FWitness:
-    """A 4-colouring certifying F(t) > n: rainbow-free in red/blue/green and
-    with no t-clique using at most 3 colours.  Both flags come from exact
-    checks."""
-
-    t: int
-    colouring: CompleteColouring
-    rainbow_free: bool
-    no_small_palette_clique: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.rainbow_free and self.no_small_palette_clique
-
-
-def verify_f_witness(col: CompleteColouring, t: int) -> FWitness:
-    if col.k != 2 or col.q != 4:
-        raise InvalidArgument("an F-witness is a k=2, q=4 colouring")
-    rainbow_ok = verifiers.rainbow_triangle_free(col, RBG) is None
-    bad_clique = three_colour_clique_search(col, t)
-    return FWitness(
-        t=t,
-        colouring=col,
-        rainbow_free=rainbow_ok,
-        no_small_palette_clique=bad_clique is None,
-    )
+# the F-witness check lives with the other certificate checkers
+FWitness = verifiers.FWitness
+verify_f_witness = verifiers.verify_f_witness
 
 
 # ---------------------------------------------------------------------------
@@ -379,62 +358,42 @@ def three_colour_clique_search(
 # the F(t) oracle
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _search_f_witness_exhaustive(t: int, n: int, node_budget: int):
     """Decide whether a 4-colouring of K_n with no red/blue/green rainbow
-    triangle and no t-clique on <= 3 colours exists, by backtracking over
-    edges in colex order.
+    triangle and no t-clique on <= 3 colours exists, by a first-use search
+    over edges in colex order.
 
-    Enumeration is exhaustive up to permutations of {red, blue, green}: the
-    first occurrences of those colours are forced to appear in index order,
-    which is sound because both constraints are invariant under permuting
-    them (yellow is distinguished).  Returns (status, witness) with status
-    one of "found", "none", "budget".
+    Red, blue and green are interchangeable (both constraints are invariant
+    under permuting them) and enter in first-use order; yellow is always
+    offered.  Returns (status, witness) with status one of "found", "none",
+    "budget".
     """
     pairs = [(a, b) for b in range(n) for a in range(b)]
+    # the colours of the edges coloured so far; an entry left by an undone
+    # step is overwritten before any later step reads it
     mat = [[0] * n for _ in range(n)]
-    nodes = 0
 
-    def rec(idx: int, rbg_used: int):
-        nonlocal nodes
-        if idx == len(pairs):
-            return []
-        nodes += 1
-        if nodes > node_budget:
-            raise _BudgetExceeded
-        a, b = pairs[idx]
-        for c in [*range(min(rbg_used + 1, 3)), YELLOW]:
-            ok = True
-            for x in range(a):
-                if {mat[x][a], mat[x][b], c} == {0, 1, 2}:
-                    ok = False
-                    break
-            if ok and a >= t - 2:
-                for rest in combinations(range(a), t - 2):
-                    census = 1 << c
-                    for u, v in combinations(rest + (a, b), 2):
-                        if (u, v) != (a, b):
-                            census |= 1 << mat[u][v]
-                    if census.bit_count() <= 3:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mat[a][b] = mat[b][a] = c
-            tail = rec(idx + 1, rbg_used + (1 if c == rbg_used and c < 3 else 0))
-            if tail is not None:
-                return [c] + tail
-        return None
+    def place(step: int, c: int) -> bool:
+        a, b = pairs[step]
+        for x in range(a):
+            if {mat[x][a], mat[x][b], c} == {0, 1, 2}:
+                return False
+        if a >= t - 2:
+            for rest in combinations(range(a), t - 2):
+                census = 1 << c
+                for u, v in combinations(rest + (a, b), 2):
+                    if (u, v) != (a, b):
+                        census |= 1 << mat[u][v]
+                if census.bit_count() <= 3:
+                    return False
+        mat[a][b] = mat[b][a] = c
+        return True
 
-    try:
-        assignment = rec(0, 0)
-    except _BudgetExceeded:
-        return "budget", None
-    if assignment is None:
-        return "none", None
+    status, assignment, _ = first_use_search(
+        len(pairs), 4, YELLOW, place, lambda step, c: None, node_budget
+    )
+    if status != "found":
+        return status, None
     col = CompleteColouring(n, 2, 4, np.array(assignment, dtype=np.uint8))
     witness = verify_f_witness(col, t)
     if not witness.valid:

@@ -3,10 +3,11 @@
 Nothing in this module calls into the construction / finder / extractor
 code it is meant to police; the only shared code is the core substrate
 (ranking, the slab walk, the colouring container and its dense colour
-matrix).  The rainbow scan and the complement-lift check run per slab on
-numpy arrays, the latter over that matrix with a different formula from the
-lift's own kernel; the exhaustive small-Ramsey search gets a bit-parallel
-fast path; the other checks are plain loops.
+matrix, and the first-use colouring search).  The rainbow scan and the
+complement-lift check run per slab on numpy arrays, the latter over that
+matrix with a different formula from the lift's own kernel; the exhaustive
+small-Ramsey search is the core's first-use search with a hedgehog prune of
+its own; the other checks are plain loops.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     InvalidArgument,
     RefusedInstance,
     ToolkitError,
+    first_use_search,
     graph_colour_matrix,
     hedgehog_shape,
     iter_slabs,
@@ -166,34 +168,18 @@ def _spine_matching(masks: list[int]) -> list[int] | None:
 
 def _spine_candidates(colouring: CompleteColouring, colour: int):
     """For every (k-1)-subset, the bitmask of w completing an edge of the
-    given colour.  Plain nested loops in colex order; intended for the small
-    n this oracle is used at."""
+    given colour.  A plain loop over the edges in colex order; intended for
+    the small n this oracle is used at."""
     n, k = colouring.n, colouring.k
-    cols = colouring.colours
-    cand: dict[tuple[int, ...], int] = {}
-    idx = 0
-    if k == 3:
-        for c in range(2, n):
-            for b in range(1, c):
-                for a in range(b):
-                    if cols[idx] == colour:
-                        cand[(a, b)] = cand.get((a, b), 0) | (1 << c)
-                        cand[(a, c)] = cand.get((a, c), 0) | (1 << b)
-                        cand[(b, c)] = cand.get((b, c), 0) | (1 << a)
-                    idx += 1
-    elif k == 4:
-        for d in range(3, n):
-            for c in range(2, d):
-                for b in range(1, c):
-                    for a in range(b):
-                        if cols[idx] == colour:
-                            cand[(a, b, c)] = cand.get((a, b, c), 0) | (1 << d)
-                            cand[(a, b, d)] = cand.get((a, b, d), 0) | (1 << c)
-                            cand[(a, c, d)] = cand.get((a, c, d), 0) | (1 << b)
-                            cand[(b, c, d)] = cand.get((b, c, d), 0) | (1 << a)
-                        idx += 1
-    else:
+    if k not in (3, 4):
         raise InvalidArgument(f"hedgehog oracle supports k in (3, 4), got k={k}")
+    edges = sorted(combinations(range(n), k), key=lambda e: e[::-1])
+    cand: dict[tuple[int, ...], int] = {}
+    for edge, c in zip(edges, colouring.colours.tolist()):
+        if c == colour:
+            for w in edge:
+                sub = tuple(v for v in edge if v != w)
+                cand[sub] = cand.get(sub, 0) | (1 << w)
     return cand
 
 
@@ -339,6 +325,37 @@ def every_clique_all_colours(
     return rec(0, 0)
 
 
+@dataclass(frozen=True)
+class FWitness:
+    """A 4-colouring certifying F(t) > n: rainbow-free in red/blue/green and
+    with no t-clique using at most 3 colours.  Both flags come from exact
+    checks."""
+
+    t: int
+    colouring: CompleteColouring
+    rainbow_free: bool
+    no_small_palette_clique: bool
+
+    @property
+    def valid(self) -> bool:
+        return self.rainbow_free and self.no_small_palette_clique
+
+
+def verify_f_witness(col: CompleteColouring, t: int) -> FWitness:
+    """Check an F-witness with the two graph-colouring checks above: in a
+    4-colouring a t-clique on at most 3 colours is one missing a colour."""
+    if col.k != 2 or col.q != 4:
+        raise InvalidArgument("an F-witness is a k=2, q=4 colouring")
+    if t < 1:
+        raise InvalidArgument("clique size must be positive")
+    return FWitness(
+        t=t,
+        colouring=col,
+        rainbow_free=rainbow_triangle_free(col, (0, 1, 2)) is None,
+        no_small_palette_clique=every_clique_all_colours(col, t, 4) is None,
+    )
+
+
 def verify_complement_lift(
     lifted: CompleteColouring,
     base: CompleteColouring,
@@ -406,121 +423,89 @@ class RamseyCheckResult:
         )
 
 
-def _ge2(x: np.ndarray) -> np.ndarray:
-    return (x & (x - 1)) != 0
-
-
-def _ge3(x: np.ndarray) -> np.ndarray:
-    y = x & (x - 1)
-    return (y & (y - 1)) != 0
-
-
-def _bulk_feasible(idx: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Bit-parallel hedgehog existence over many 2-colourings at once.
-
-    idx holds colouring indices; bit r of an index is the colour of the
-    triple with colex rank r.  Returns a boolean array: colouring contains a
-    monochromatic body-size-t hedgehog in some colour.
-    """
-    any_hedgehog = np.zeros(idx.shape, dtype=bool)
-    for body in combinations(range(n), t):
-        body_set = set(body)
-        others = [w for w in range(n) if w not in body_set]
-        pos_of = {w: i for i, w in enumerate(others)}
-        for colour in (0, 1):
-            masks = []
-            for pair in combinations(body, 2):
-                s = np.zeros(idx.shape, dtype=np.uint64)
-                for w in others:
-                    r = rank_subset(sorted(pair + (w,)))
-                    bit = (idx >> np.uint64(r)) & np.uint64(1)
-                    if colour == 0:
-                        bit = bit ^ np.uint64(1)
-                    s |= bit << np.uint64(pos_of[w])
-                masks.append(s)
-            if t == 2:
-                ok = masks[0] != 0
-            elif t == 3:
-                s1, s2, s3 = masks
-                ok = (
-                    (s1 != 0)
-                    & (s2 != 0)
-                    & (s3 != 0)
-                    & _ge2(s1 | s2)
-                    & _ge2(s1 | s3)
-                    & _ge2(s2 | s3)
-                    & _ge3(s1 | s2 | s3)
-                )
-            else:  # pragma: no cover - guarded by caller
-                raise InvalidArgument("bulk path supports t in (2, 3)")
-            any_hedgehog |= ok
-        if any_hedgehog.all():
-            break
-    return any_hedgehog
-
-
 def exhaustive_ramsey_check(
-    t: int,
-    q: int,
-    n: int,
-    colour_swap: bool = True,
-    limit: int = 1 << 26,
-    chunk: int = 1 << 18,
+    t: int, q: int, n: int, limit: int = 1 << 26
 ) -> RamseyCheckResult:
     """Decide by exhaustion whether every q-colouring of the complete
     3-uniform hypergraph on [n] contains a monochromatic body-size-t
-    hedgehog.  Returns the first hedgehog-free colouring found, else holds.
+    hedgehog.  Returns the first hedgehog-free colouring in scan order, else
+    holds.
 
-    Instances beyond `limit` colourings (after the optional colour-swap
-    halving for q=2) are refused with a size estimate.
+    The scan reads a colouring as the base-q number whose digit r is the
+    colour of the triple with colex rank r, and `checked` counts it up to
+    the counterexample.  The search colours triples from the highest rank
+    down, colour 0 first, so it meets colourings in scan order; it drops a
+    branch once its new triple completes a hedgehog (no extension loses
+    it), and drops colour permutations by first use (the smallest colouring
+    of an orbit is its first-use form).  Its first leaf is therefore the
+    scan's first counterexample, which for q=2 has top digit 0.
+
+    Instances beyond `limit` colourings (after halving for q=2, where a
+    colour swap fixes the top digit) are refused with a size estimate.
     """
     hedgehog_shape(t, 3)
     if q < 1 or n < 0:
         raise InvalidArgument(f"need q >= 1 and n >= 0, got q={q} n={n}")
     m = math.comb(n, 3)
     total = q**m
-    scan = total
-    if colour_swap and q == 2 and m > 0:
-        scan = total // 2  # indices with top bit 0 represent both swap classes
+    # for q=2 the indices with top digit 0 represent both swap classes
+    scan = total // 2 if q == 2 and m > 0 else total
     if scan > limit:
         raise RefusedInstance(
             f"{total} colourings (scan {scan}) exceed limit {limit}", estimate=total
         )
 
-    checked = 0
-    if q == 2 and t in (2, 3):
-        lo = 0
-        while lo < max(scan, 1):
-            hi = min(lo + chunk, max(scan, 1))
-            idx = np.arange(lo, hi, dtype=np.uint64)
-            feasible = _bulk_feasible(idx, n, t)
-            checked += len(idx)
-            if not feasible.all():
-                i = int(idx[int(np.argmax(~feasible))])
-                colours = np.array([(i >> r) & 1 for r in range(m)], dtype=np.uint8)
-                witness = CompleteColouring(n, 3, q, colours)
-                # cross-validate with the per-colouring oracle before reporting
-                for colour in range(q):
-                    if has_monochromatic_hedgehog(witness, t, colour) is not None:
-                        raise ToolkitError(
-                            f"bit-parallel check and hedgehog oracle disagree on "
-                            f"colouring {i} in colour {colour}"
-                        )
-                return RamseyCheckResult(t, q, n, False, witness, checked, total)
-            lo = hi
-        return RamseyCheckResult(t, q, n, True, None, checked, total)
+    triples = [(a, b, c) for c in range(n) for b in range(c) for a in range(b)]
+    triples.reverse()
+    # cand[colour][u * n + v]: bitmask of the w with {u, v, w} coloured so far
+    # in that colour, i.e. the spine candidates of the pair u < v; a triple
+    # owns its three bits, so placing and undoing it both flip them
+    cand = [[0] * (n * n) for _ in range(q)]
+    spine_bits = [
+        ((a * n + b, 1 << c), (a * n + c, 1 << b), (b * n + c, 1 << a))
+        for a, b, c in triples
+    ]
 
-    for i in range(max(scan, 1)):
-        digits = []
-        x = i
-        for _ in range(m):
-            digits.append(x % q)
-            x //= q
-        witness = CompleteColouring(n, 3, q, np.array(digits, dtype=np.uint8))
-        checked += 1
-        if all(
-            has_monochromatic_hedgehog(witness, t, colour) is None
-            for colour in range(q)
-        ):
-            return RamseyCheckResult(t, q, n, False, witness, checked, total)
-    return RamseyCheckResult(t, q, n, True, None, checked, total)
+    def flip(step: int, colour: int) -> None:
+        masks = cand[colour]
+        for pair, bit in spine_bits[step]:
+            masks[pair] ^= bit
+
+    def place(step: int, colour: int) -> bool:
+        # the colouring had no hedgehog before this triple, so a hedgehog now
+        # has two of its vertices x < y in the body and the third, z, outside
+        flip(step, colour)
+        masks = cand[colour]
+        a, b, c = triples[step]
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            rest = [v for v in range(n) if v not in (x, y, z)]
+            for others in combinations(rest, t - 2):
+                body = sorted((x, y) + others)
+                inside = sum(1 << v for v in body)
+                spines = []
+                for u, v in combinations(body, 2):
+                    free = masks[u * n + v] & ~inside
+                    if not free:
+                        break
+                    spines.append(free)
+                else:
+                    if _spine_matching(spines) is not None:
+                        flip(step, colour)
+                        return False
+        return True
+
+    status, found, _ = first_use_search(m, q, q, place, flip)
+    if status == "none":
+        return RamseyCheckResult(t, q, n, True, None, scan, total)
+    index = 0
+    for colour in found:  # highest rank first: the most significant digit
+        index = index * q + colour
+    witness = CompleteColouring(n, 3, q, np.array(found[::-1], dtype=np.uint8))
+    # cross-validate with the per-colouring oracle before reporting
+    for colour in range(q):
+        if has_monochromatic_hedgehog(witness, t, colour) is not None:
+            raise ToolkitError(
+                f"first-use search and hedgehog oracle disagree on "
+                f"colouring {index} in colour {colour}"
+            )
+    return RamseyCheckResult(t, q, n, False, witness, index + 1, total)

@@ -1,5 +1,6 @@
 """Reference oracles for the tests: plain, slow second opinions that share
-only the core substrate with the package code they cross-check."""
+only the core substrate (and, to check a found F-witness, the verifiers)
+with the package code they cross-check."""
 
 import math
 from itertools import combinations
@@ -10,8 +11,11 @@ from hedgehog.core import (
     _HCOL_HEADER,
     CompleteColouring,
     InvalidArgument,
+    ToolkitError,
     hedgehog_shape,
+    rank_subset,
 )
+from hedgehog.verifiers import verify_f_witness
 
 
 def has_monochromatic_hedgehog_slow(
@@ -102,3 +106,159 @@ def colouring_from_bytes_reference(data: bytes) -> CompleteColouring:
     if vals.size and int(vals.min()) < 0:
         raise InvalidArgument(f"colour {int(vals.min())} out of range for q={q}")
     return CompleteColouring(n=n, k=k, q=q, colours=vals.astype(np.uint8))
+
+
+# The brute small-Ramsey scan: colouring i of the scan has the colour of the
+# triple with colex rank r as its base-q digit r.  For q = 2 a bit-parallel
+# kernel decides many colourings at once.
+
+
+def _ge2(x: np.ndarray) -> np.ndarray:
+    return (x & (x - 1)) != 0
+
+
+def _ge3(x: np.ndarray) -> np.ndarray:
+    y = x & (x - 1)
+    return (y & (y - 1)) != 0
+
+
+def _bulk_feasible(idx: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Bit-parallel hedgehog existence over many 2-colourings at once.
+
+    idx holds colouring indices; bit r of an index is the colour of the
+    triple with colex rank r.  Returns a boolean array: colouring contains a
+    monochromatic body-size-t hedgehog in some colour.
+    """
+    any_hedgehog = np.zeros(idx.shape, dtype=bool)
+    for body in combinations(range(n), t):
+        body_set = set(body)
+        others = [w for w in range(n) if w not in body_set]
+        pos_of = {w: i for i, w in enumerate(others)}
+        for colour in (0, 1):
+            masks = []
+            for pair in combinations(body, 2):
+                s = np.zeros(idx.shape, dtype=np.uint64)
+                for w in others:
+                    r = rank_subset(sorted(pair + (w,)))
+                    bit = (idx >> np.uint64(r)) & np.uint64(1)
+                    if colour == 0:
+                        bit = bit ^ np.uint64(1)
+                    s |= bit << np.uint64(pos_of[w])
+                masks.append(s)
+            if t == 2:
+                ok = masks[0] != 0
+            elif t == 3:
+                s1, s2, s3 = masks
+                ok = (
+                    (s1 != 0)
+                    & (s2 != 0)
+                    & (s3 != 0)
+                    & _ge2(s1 | s2)
+                    & _ge2(s1 | s3)
+                    & _ge2(s2 | s3)
+                    & _ge3(s1 | s2 | s3)
+                )
+            else:  # pragma: no cover - guarded by caller
+                raise InvalidArgument("bulk path supports t in (2, 3)")
+            any_hedgehog |= ok
+        if any_hedgehog.all():
+            break
+    return any_hedgehog
+
+
+def brute_ramsey_scan(t: int, q: int, n: int, chunk: int = 1 << 16):
+    """(holds, first hedgehog-free colouring or None, colourings checked) of
+    the plain scan in index order.  For q = 2 only indices with top digit 0
+    are scanned, one per colour-swap class.  q = 2 with t in (2, 3) goes
+    through the bit-parallel kernel, anything else colouring by colouring
+    through the naive hedgehog oracle."""
+    m = math.comb(n, 3)
+    scan = q**m // 2 if q == 2 and m > 0 else q**m
+    if q == 2 and t in (2, 3):
+        for lo in range(0, scan, chunk):
+            idx = np.arange(lo, min(lo + chunk, scan), dtype=np.uint64)
+            feasible = _bulk_feasible(idx, n, t)
+            if not feasible.all():
+                i = lo + int(np.argmax(~feasible))
+                colours = np.array([(i >> r) & 1 for r in range(m)], dtype=np.uint8)
+                return False, CompleteColouring(n, 3, q, colours), i + 1
+        return True, None, scan
+    for i in range(scan):
+        digits = []
+        x = i
+        for _ in range(m):
+            digits.append(x % q)
+            x //= q
+        col = CompleteColouring(n, 3, q, np.array(digits, dtype=np.uint8))
+        if not any(has_monochromatic_hedgehog_slow(col, t, c) for c in range(q)):
+            return False, col, i + 1
+    return True, None, scan
+
+
+# The F(t) search as a backtracker of its own: edges in colex order, red,
+# blue and green forced to first appear in index order, yellow always tried.
+
+YELLOW = 3
+
+
+class _BudgetExceeded(Exception):
+    pass
+
+
+def search_f_witness_reference(t: int, n: int, node_budget: int):
+    """Decide whether a 4-colouring of K_n with no red/blue/green rainbow
+    triangle and no t-clique on <= 3 colours exists, by backtracking over
+    edges in colex order.
+
+    Enumeration is exhaustive up to permutations of {red, blue, green}: the
+    first occurrences of those colours are forced to appear in index order,
+    which is sound because both constraints are invariant under permuting
+    them (yellow is distinguished).  Returns (status, witness) with status
+    one of "found", "none", "budget".
+    """
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    mat = [[0] * n for _ in range(n)]
+    nodes = 0
+
+    def rec(idx: int, rbg_used: int):
+        nonlocal nodes
+        if idx == len(pairs):
+            return []
+        nodes += 1
+        if nodes > node_budget:
+            raise _BudgetExceeded
+        a, b = pairs[idx]
+        for c in [*range(min(rbg_used + 1, 3)), YELLOW]:
+            ok = True
+            for x in range(a):
+                if {mat[x][a], mat[x][b], c} == {0, 1, 2}:
+                    ok = False
+                    break
+            if ok and a >= t - 2:
+                for rest in combinations(range(a), t - 2):
+                    census = 1 << c
+                    for u, v in combinations(rest + (a, b), 2):
+                        if (u, v) != (a, b):
+                            census |= 1 << mat[u][v]
+                    if census.bit_count() <= 3:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            mat[a][b] = mat[b][a] = c
+            tail = rec(idx + 1, rbg_used + (1 if c == rbg_used and c < 3 else 0))
+            if tail is not None:
+                return [c] + tail
+        return None
+
+    try:
+        assignment = rec(0, 0)
+    except _BudgetExceeded:
+        return "budget", None
+    if assignment is None:
+        return "none", None
+    col = CompleteColouring(n, 2, 4, np.array(assignment, dtype=np.uint8))
+    witness = verify_f_witness(col, t)
+    if not witness.valid:
+        raise ToolkitError("exhaustive search produced an invalid witness")
+    return "found", col

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hedgehog import constructions, core, extractors, finder, verifiers
-from reference_oracles import has_monochromatic_hedgehog_slow
+from reference_oracles import _bulk_feasible, has_monochromatic_hedgehog_slow
 
 
 def report(num, ok, detail):
@@ -324,7 +324,7 @@ def test_criterion_8_exhaustive_small_ramsey():
     m = math.comb(6, 3)
     rng = np.random.default_rng(8)
     sample = rng.integers(0, 2**m, size=(2**m) // 10, dtype=np.uint64)
-    bulk = verifiers._bulk_feasible(sample, 6, 3)
+    bulk = _bulk_feasible(sample, 6, 3)
     disagreements = 0
     for i, feasible in zip(sample.tolist(), bulk.tolist()):
         colours = np.array([(i >> r) & 1 for r in range(m)], dtype=np.uint8)

@@ -118,6 +118,31 @@ def test_search_exit_codes():
     run_cli(["search", "exhaustive", "--t", "3", "-q", "2", "-n", "12"], expect=3)
 
 
+SEARCH_PINS = [
+    (["--t", "3", "-q", "2", "-n", "5"], 2,
+     "ramsey-check t=3 q=2 n=5: counterexample (1 of 1024 colourings checked)\n"
+     "HCOL v1 n=5 k=3 q=2\n0000000000\n"),
+    (["--t", "3", "-q", "2", "-n", "6"], 2,
+     "ramsey-check t=3 q=2 n=6: counterexample (1024 of 1048576 colourings checked)\n"
+     "HCOL v1 n=6 k=3 q=2\n11111111110000000000\n"),
+    (["--t", "2", "-q", "2", "-n", "3"], 0,
+     "ramsey-check t=2 q=2 n=3: holds (1 of 2 colourings checked)\n"),
+    (["--t", "3", "-q", "2", "-n", "12"], 3, ""),
+]
+
+
+@pytest.mark.parametrize("flags, code, out", SEARCH_PINS, ids=["n5", "n6", "holds", "refused"])
+def test_search_exhaustive_stdout_is_pinned(flags, code, out, capsys):
+    # the count is the counterexample's index in the scan order plus one;
+    # at n = 5 the all-zero colouring has no room for a body-3 hedgehog
+    assert cli.main(["search", "exhaustive"] + flags) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code == 3:
+        assert captured.err.startswith("refused: 16849966666969149871666884429387")
+        assert captured.err.endswith(" exceed limit 67108864\n")
+
+
 def test_f_oracle_command():
     r = run_cli(["f-oracle", "--t", "2", "--cap", "4"], expect=0)
     assert "F(2) = 2" in r.stdout
@@ -284,10 +309,11 @@ def test_exit_codes_of_real_failures_agree_in_batch(tmp_path, capsys):
 
 
 def test_plain_toolkit_error_is_not_a_traceback(monkeypatch, capsys):
-    # an oracle that disagrees with the bit-parallel path raises ToolkitError
+    # an oracle that disagrees with the search's counterexample raises
+    # ToolkitError
     monkeypatch.setattr(verifiers, "has_monochromatic_hedgehog", lambda *args: object())
     assert cli.main(["search", "exhaustive", "--t", "3", "-q", "2", "-n", "5"]) == 2
-    assert capsys.readouterr().err.startswith("error: bit-parallel check")
+    assert capsys.readouterr().err.startswith("error: first-use search and hedgehog oracle")
 
 
 def test_generate_random_fails_closed(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hedgehog import constructions, core, extractors, finder, verifiers
+from reference_oracles import search_f_witness_reference
 
 
 def random_graph_colouring(rng, n, q):
@@ -214,6 +215,60 @@ def test_f_oracle_modes_agree_where_both_apply():
             assert local is not None
         if exh.statuses.get(n) == "none":
             assert local is None
+
+
+def _budget_boundary(search, t, n):
+    # the least budget under which the search does not run out: its node count
+    lo, hi = 0, 1
+    while search(t, n, hi)[0] == "budget":
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if search(t, n, mid)[0] == "budget":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_f_search_matches_reference_backtracker(t):
+    for n in range(2, 8):
+        # equal statuses on both sides of the boundary mean equal node counts
+        nodes = _budget_boundary(extractors._search_f_witness_exhaustive, t, n)
+        for budget in (nodes - 1, nodes, 2_000_000):
+            status, witness = extractors._search_f_witness_exhaustive(t, n, budget)
+            ref_status, ref_witness = search_f_witness_reference(t, n, budget)
+            assert status == ref_status, (n, budget)
+            assert (witness is None) == (ref_witness is None)
+            if witness is not None:
+                assert witness.equals(ref_witness)
+
+
+def test_verify_f_witness_agrees_with_clique_search():
+    # the verifier composes the rainbow check with the all-colours clique
+    # check; the extractors' own clique search must give the same flags
+    def old_flags(col, t):
+        return (
+            verifiers.rainbow_triangle_free(col, extractors.RBG) is None,
+            extractors.three_colour_clique_search(col, t) is None,
+        )
+
+    cases = [(col, 4) for col in extractors.f_oracle(4, 7).witnesses.values()]
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(0, 10))
+        palette = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)
+        colours = palette[rng.integers(0, len(palette), size=math.comb(n, 2))]
+        cases.append((core.CompleteColouring(n, 2, 4, colours), int(rng.integers(1, 6))))
+    seen = set()
+    for col, t in cases:
+        got = verifiers.verify_f_witness(col, t)
+        flags = (got.rainbow_free, got.no_small_palette_clique)
+        assert flags == old_flags(col, t)
+        seen.add(flags)
+    assert extractors.verify_f_witness is verifiers.verify_f_witness
+    assert len(seen) >= 3  # the sample reaches more than one verdict
 
 
 def test_pipeline_all_red_short_circuits():

@@ -3,6 +3,7 @@ in reference_oracles: the same colouring or exactly the same error, and
 byte-identical output."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,3 +100,23 @@ def test_codec_matches_reference_at_size(n, k, q):
     data = core.colouring_to_bytes(col)
     assert data == colouring_to_bytes_reference(col)
     assert core.colouring_from_bytes(data).equals(colouring_from_bytes_reference(data))
+
+
+def test_hex_read_peak_memory_is_two_bodies(tmp_path):
+    # the read holds the file bytes and one translated copy, never a third
+    # slice of the body
+    n = 200
+    rng = np.random.default_rng(5)
+    col = core.CompleteColouring(
+        n, 3, 16, rng.integers(0, 16, size=math.comb(n, 3), dtype=np.uint8)
+    )
+    path = tmp_path / "big.hcol"
+    core.write_colouring(col, path)
+    tracemalloc.start()
+    try:
+        got = core.read_colouring(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.equals(col)
+    assert peak <= 2.2 * col.edge_count

@@ -1,11 +1,15 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from hedgehog import core, verifiers
-from reference_oracles import has_monochromatic_hedgehog_slow
+from reference_oracles import (
+    _bulk_feasible,
+    brute_ramsey_scan,
+    has_monochromatic_hedgehog_slow,
+)
 
 
 def random_colouring_array(rng, n, k, q):
@@ -346,8 +350,8 @@ def test_exhaustive_ramsey_tiny():
 
 
 def test_exhaustive_ramsey_cross_check_is_not_an_assert(monkeypatch):
-    # an oracle that finds a hedgehog everywhere disagrees with the fast
-    # path's counterexample; the disagreement must raise under python -O too
+    # an oracle that finds a hedgehog everywhere disagrees with the search's
+    # counterexample; the disagreement must raise under python -O too
     monkeypatch.setattr(verifiers, "has_monochromatic_hedgehog", lambda *args: object())
     with pytest.raises(core.ToolkitError, match="disagree"):
         verifiers.exhaustive_ramsey_check(3, 2, 5)
@@ -359,12 +363,12 @@ def test_exhaustive_ramsey_refuses_large():
 
 
 def test_exhaustive_fast_path_agrees_with_oracle_per_colouring():
-    # compare the bit-parallel feasibility with the matching oracle
+    # compare the reference bit-parallel feasibility with the matching oracle
     rng = np.random.default_rng(13)
     n, t = 6, 3
     m = math.comb(n, 3)
     idx = rng.integers(0, 2**m, size=500, dtype=np.uint64)
-    bulk = verifiers._bulk_feasible(idx, n, t)
+    bulk = _bulk_feasible(idx, n, t)
     for i, feas in zip(idx.tolist(), bulk.tolist()):
         colours = np.array([(i >> r) & 1 for r in range(m)], dtype=np.uint8)
         col = core.CompleteColouring(n, 3, 2, colours)
@@ -376,6 +380,68 @@ def test_exhaustive_fast_path_agrees_with_oracle_per_colouring():
 
 
 def test_exhaustive_ramsey_q3_loop_path():
-    # q=3 goes through the per-colouring loop; t=2, n=3 has one triple
+    # q=3 offers every colour to the first triple; t=2, n=3 has one triple
     r = verifiers.exhaustive_ramsey_check(2, 3, 3)
     assert r.holds and r.total == 3
+
+
+def test_first_use_search_enumerates_first_use_colourings():
+    # rejecting every last step makes the search visit every leaf: the
+    # colourings whose interchangeable colours appear in first-use order
+    for steps, q, inter in [(4, 3, 3), (3, 4, 3), (3, 3, 1), (4, 2, 2), (0, 2, 2)]:
+        leaves = []
+        trail = []
+
+        def place(step, c):
+            if step == steps - 1:
+                leaves.append(tuple(trail) + (c,))
+                return False
+            trail.append(c)
+            return True
+
+        def unplace(step, c):
+            trail.pop()
+
+        status, colours, nodes = core.first_use_search(steps, q, inter, place, unplace)
+        expected = []
+        for cand in product(range(q), repeat=steps):
+            seen = [c for c in dict.fromkeys(cand) if c < inter]
+            if seen == list(range(len(seen))):
+                expected.append(cand)
+        if steps == 0:
+            assert (status, colours, nodes) == ("found", [], 0)
+            continue
+        assert status == "none" and colours is None
+        assert leaves == expected  # depth-first, smallest colour first
+        # internal nodes: one per first-use prefix shorter than steps
+        assert nodes == len({cand[:i] for cand in expected for i in range(steps)})
+
+
+def test_first_use_search_budget_and_found():
+    status, colours, nodes = core.first_use_search(5, 2, 2, lambda s, c: True, lambda s, c: None)
+    assert (status, colours, nodes) == ("found", [0, 0, 0, 0, 0], 5)
+    assert core.first_use_search(5, 2, 2, lambda s, c: True, lambda s, c: None, 4)[0] == "budget"
+    assert core.first_use_search(5, 2, 2, lambda s, c: True, lambda s, c: None, 5)[0] == "found"
+    # a colour at or above `interchangeable` is always offered, after the others
+    status, colours, _ = core.first_use_search(
+        3, 3, 1, lambda s, c: c != 0 or s == 0, lambda s, c: None
+    )
+    assert (status, colours) == ("found", [0, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "t, q, n",
+    [(t, 2, n) for t in (2, 3) for n in range(7)]
+    + [(t, 3, n) for t in (2, 3) for n in range(6)],
+)
+def test_exhaustive_ramsey_equals_brute_scan(t, q, n):
+    # verdict, counterexample and count all match the plain scan in index
+    # order (bit-parallel for q = 2, colouring by colouring for q = 3)
+    result = verifiers.exhaustive_ramsey_check(t, q, n)
+    holds, counterexample, checked = brute_ramsey_scan(t, q, n)
+    assert result.holds == holds
+    assert result.checked == checked
+    if holds:
+        assert result.counterexample is None
+    else:
+        assert result.counterexample.equals(counterexample)
