@@ -79,7 +79,7 @@ def deficient_clique(
     return None
 
 
-def _block_seed(rng: random.Random, n: int, t: int, q: int) -> list[int]:
+def _block_seed(rng: random.Random, n: int, t: int, q: int) -> list[list[int]]:
     """Structured restart state: one random partition of the vertices into
     t-1 near-equal blocks per colour; a pair takes a random colour among the
     partitions placing both ends in one block (scattered colourings are
@@ -93,49 +93,27 @@ def _block_seed(rng: random.Random, n: int, t: int, q: int) -> list[int]:
         for i, v in enumerate(verts):
             assign[v] = i % parts
         blocks_of.append(assign)
-    cols = []
+    mat = [[0] * n for _ in range(n)]
     for b in range(n):
         for a in range(b):
             options = [c for c in range(q) if blocks_of[c][a] == blocks_of[c][b]]
-            cols.append(
+            mat[a][b] = mat[b][a] = (
                 options[rng.randrange(len(options))] if options else rng.randrange(q)
             )
-    return cols
+    return mat
 
 
-def _move_delta(
-    cols: list[int],
-    rank_of_pair: dict[tuple[int, int], int],
-    n: int,
-    t: int,
-    u: int,
-    v: int,
-    new_colour: int,
-    sample_cap: int,
-    rng: random.Random,
-) -> int:
+def _move_delta(mat, n: int, t: int, u: int, v: int, new_colour: int) -> int:
     """Deficiencies created minus removed among t-cliques through {u, v} if
     that edge is recoloured: cliques where the old colour appeared only here
     become deficient, cliques missing the new colour stop being so."""
-    old = cols[rank_of_pair[(u, v)]]
+    old = mat[u][v]
     others = [w for w in range(n) if w not in (u, v)]
-    subsets = list(combinations(others, t - 2))
-    if len(subsets) > sample_cap:
-        subsets = [subsets[rng.randrange(len(subsets))] for _ in range(sample_cap)]
     delta = 0
-    for rest in subsets:
-        members = rest + (u, v)
-        old_count = 0
-        new_count = 0
-        for x, y in combinations(sorted(members), 2):
-            c = cols[rank_of_pair[(x, y)]]
-            if c == old:
-                old_count += 1
-            if c == new_colour:
-                new_count += 1
-        if old_count == 1:
+    for cen in extractors.clique_censuses(mat, u, v, others, t):
+        if not cen >> old & 1:
             delta += 1
-        if new_count == 0:
+        if new_colour != old and not cen >> new_colour & 1:
             delta -= 1
     return delta
 
@@ -150,6 +128,7 @@ def find_scattered_colouring(
     the clique), with seeded restarts.  Exhaustion is an outcome, not an
     error; any returned colouring has passed the independent exact check.
     """
+    check_colouring_shape(spec.n, 2, spec.q)
     if math.comb(spec.t, 2) < spec.q:
         raise InfeasibleSpec(
             f"a {spec.t}-clique has {math.comb(spec.t, 2)} edges, fewer than q={spec.q}"
@@ -187,10 +166,6 @@ def find_scattered_colouring(
         report.outcome = "found"
         return found
 
-    pair_of_rank = [(a, b) for b in range(n) for a in range(b)]
-    rank_of_pair = {p: i for i, p in enumerate(pair_of_rank)}
-    lookahead_cap = 600
-
     for attempt in range(spec.max_tries):
         report.tries = attempt + 1
         if spec.search_mode == "rejection":
@@ -199,13 +174,16 @@ def find_scattered_colouring(
                 return finish(cols), report
             continue
         # alternate structured and uniform restarts
-        cols = (
-            _block_seed(rng, n, t, q)
-            if attempt % 2 == 0
-            else [rng.randrange(q) for _ in range(m)]
-        )
+        if attempt % 2 == 0:
+            mat = _block_seed(rng, n, t, q)
+        else:
+            mat = [[0] * n for _ in range(n)]
+            for b in range(n):
+                for a in range(b):
+                    mat[a][b] = mat[b][a] = rng.randrange(q)
         for _ in range(spec.max_steps):
             report.steps += 1
+            cols = [mat[a][b] for b in range(n) for a in range(b)]
             bad = deficient_clique(cols, n, t, q)
             if bad is None:
                 return finish(cols), report
@@ -213,20 +191,18 @@ def find_scattered_colouring(
             inside = list(combinations(sorted(clique), 2))
             if rng.random() < 0.08:
                 u, v = inside[rng.randrange(len(inside))]
-                cols[rank_of_pair[(u, v)]] = missing
+                mat[u][v] = mat[v][u] = missing
                 continue
             best_pair = None
             best_delta = None
             order = inside.copy()
             rng.shuffle(order)
             for u, v in order:
-                delta = _move_delta(
-                    cols, rank_of_pair, n, t, u, v, missing, lookahead_cap, rng
-                )
+                delta = _move_delta(mat, n, t, u, v, missing)
                 if best_delta is None or delta < best_delta:
                     best_pair, best_delta = (u, v), delta
             u, v = best_pair
-            cols[rank_of_pair[(u, v)]] = missing
+            mat[u][v] = mat[v][u] = missing
         # restart with a fresh state
     return None, report
 

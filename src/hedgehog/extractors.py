@@ -136,6 +136,20 @@ def lex_first_clique(adjs: list[list[int]], n: int, s: int) -> list[int] | None:
     return rec([(1 << n) - 1 for _ in adjs])
 
 
+def clique_censuses(mat, u: int, v: int, pool, size: int):
+    """For each (size-2)-subset rest of pool, in lexicographic order, the
+    bitmask of the colours on the edges of rest + {u, v} other than {u, v}
+    itself; mat is a symmetric n x n nested list of edge colours.  The one
+    t-clique loop of the scattered and F(t) searches."""
+    for rest in combinations(pool, size - 2):
+        census = 0
+        for x in rest:
+            census |= 1 << mat[x][u] | 1 << mat[x][v]
+        for x, y in combinations(rest, 2):
+            census |= 1 << mat[x][y]
+        yield census
+
+
 def union_adjacency(col: CompleteColouring, colours) -> list[int]:
     """Adjacency bitmasks of the graph formed by edges whose colour lies in
     the given set."""
@@ -378,14 +392,10 @@ def _search_f_witness_exhaustive(t: int, n: int, node_budget: int):
         for x in range(a):
             if {mat[x][a], mat[x][b], c} == {0, 1, 2}:
                 return False
-        if a >= t - 2:
-            for rest in combinations(range(a), t - 2):
-                census = 1 << c
-                for u, v in combinations(rest + (a, b), 2):
-                    if (u, v) != (a, b):
-                        census |= 1 << mat[u][v]
-                if census.bit_count() <= 3:
-                    return False
+        bit = 1 << c
+        for cen in clique_censuses(mat, a, b, range(a), t):
+            if (cen | bit).bit_count() <= 3:
+                return False
         mat[a][b] = mat[b][a] = c
         return True
 
@@ -408,11 +418,9 @@ def _violation_count_at(mat, n: int, t: int, u: int, v: int) -> int:
     for w in others:
         if {mat[u][v], mat[u][w], mat[v][w]} == {0, 1, 2}:
             bad += 1
-    for rest in combinations(others, t - 2):
-        census = 0
-        for x, y in combinations(rest + (u, v), 2):
-            census |= 1 << mat[x][y]
-        if census.bit_count() <= 3:
+    own = 1 << mat[u][v]
+    for cen in clique_censuses(mat, u, v, others, t):
+        if (cen | own).bit_count() <= 3:
             bad += 1
     return bad
 
@@ -465,6 +473,10 @@ def _search_f_witness_local(
     return None
 
 
+# the largest n that f_oracle decides exhaustively; above it, local search
+EXHAUSTIVE_CAP = 8
+
+
 @dataclass
 class FOracleResult:
     t: int
@@ -487,7 +499,6 @@ def f_oracle(
     mode: str = "auto",
     seed: int = 0,
     node_budget: int = 2_000_000,
-    exhaustive_cap: int = 8,
     restarts: int = 8,
     steps: int = 4000,
 ) -> FOracleResult:
@@ -496,7 +507,7 @@ def f_oracle(
     Witness existence is monotone decreasing in n (restricting a witness
     stays a witness), so the scan stops at the first n with provably no
     witness; that n equals F(t) exactly when every smaller n produced one.
-    Exhaustive decisions run for n <= exhaustive_cap under a node budget;
+    Exhaustive decisions run for n <= EXHAUSTIVE_CAP under a node budget;
     "witness" mode only ever certifies lower bounds.
     """
     if t < 2:
@@ -522,7 +533,7 @@ def f_oracle(
             continue
         status = "unknown"
         witness = None
-        if mode in ("auto", "exhaustive") and n <= exhaustive_cap:
+        if mode in ("auto", "exhaustive") and n <= EXHAUSTIVE_CAP:
             status, witness = _search_f_witness_exhaustive(t, n, node_budget)
         elif mode in ("auto", "witness"):
             witness = _search_f_witness_local(t, n, seed, restarts, steps)

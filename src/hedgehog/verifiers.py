@@ -296,6 +296,8 @@ def every_clique_all_colours(
         raise InvalidArgument("clique colour check needs a k=2 colouring")
     if q is None:
         q = colouring.q
+    if q < 1:
+        raise InvalidArgument(f"colour count q={q} is below 1")
     n = colouring.n
     if t > n:
         return None

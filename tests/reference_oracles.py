@@ -262,3 +262,67 @@ def search_f_witness_reference(t: int, n: int, node_budget: int):
     if not witness.valid:
         raise ToolkitError("exhaustive search produced an invalid witness")
     return "found", col
+
+
+def move_delta_reference(
+    cols: list[int],
+    rank_of_pair: dict[tuple[int, int], int],
+    n: int,
+    t: int,
+    u: int,
+    v: int,
+    new_colour: int,
+) -> int:
+    """Deficiencies created minus removed among t-cliques through {u, v} if
+    that edge is recoloured: cliques where the old colour appeared only here
+    become deficient, cliques missing the new colour stop being so."""
+    old = cols[rank_of_pair[(u, v)]]
+    others = [w for w in range(n) if w not in (u, v)]
+    subsets = list(combinations(others, t - 2))
+    delta = 0
+    for rest in subsets:
+        members = rest + (u, v)
+        old_count = 0
+        new_count = 0
+        for x, y in combinations(sorted(members), 2):
+            c = cols[rank_of_pair[(x, y)]]
+            if c == old:
+                old_count += 1
+            if c == new_colour:
+                new_count += 1
+        if old_count == 1:
+            delta += 1
+        if new_count == 0:
+            delta -= 1
+    return delta
+
+
+def violation_count_at_reference(mat, n: int, t: int, u: int, v: int) -> int:
+    """Rainbow triangles plus bad t-cliques through the edge {u, v}."""
+    bad = 0
+    others = [w for w in range(n) if w not in (u, v)]
+    for w in others:
+        if {mat[u][v], mat[u][w], mat[v][w]} == {0, 1, 2}:
+            bad += 1
+    for rest in combinations(others, t - 2):
+        census = 0
+        for x, y in combinations(rest + (u, v), 2):
+            census |= 1 << mat[x][y]
+        if census.bit_count() <= 3:
+            bad += 1
+    return bad
+
+
+def f_clique_prune_reference(mat, t: int, a: int, b: int, c: int) -> bool:
+    """Whether colouring the edge {a, b} with c completes a t-clique on at
+    most 3 colours whose other vertices lie below a (the t-clique check of
+    the exhaustive F search)."""
+    if a >= t - 2:
+        for rest in combinations(range(a), t - 2):
+            census = 1 << c
+            for u, v in combinations(rest + (a, b), 2):
+                if (u, v) != (a, b):
+                    census |= 1 << mat[u][v]
+            if census.bit_count() <= 3:
+                return True
+    return False

@@ -1,0 +1,137 @@
+"""The clique-census kernel and its three callers: the scattered move score,
+the F local search's violation count and the exhaustive F search's t-clique
+prune, pinned to the loops they replaced and to recorded trajectories."""
+
+import hashlib
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from hedgehog import cli, constructions, core, extractors
+from reference_oracles import (
+    f_clique_prune_reference,
+    move_delta_reference,
+    violation_count_at_reference,
+)
+
+
+def random_matrix(rng, n, q):
+    mat = [[0] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        mat[u][v] = mat[v][u] = int(rng.integers(0, q))
+    return mat
+
+
+def brute_censuses(mat, u, v, pool, size):
+    # every subset of the pool by bitmask, sorted into lexicographic order
+    pool = list(pool)
+    rests = sorted(
+        tuple(x for i, x in enumerate(pool) if mask >> i & 1)
+        for mask in range(1 << len(pool))
+        if bin(mask).count("1") == size - 2
+    )
+    out = []
+    for rest in rests:
+        census = 0
+        for x, y in combinations(sorted(rest + (u, v)), 2):
+            if {x, y} != {u, v}:
+                census |= 1 << mat[x][y]
+        out.append(census)
+    return out
+
+
+def test_clique_censuses_match_brute_force_in_order():
+    rng = np.random.default_rng(90)
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        q = int(rng.integers(1, 5))
+        mat = random_matrix(rng, n, q)
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        others = [w for w in range(n) if w not in (u, v)]
+        pool = [w for w in others if rng.random() < 0.7]
+        size = int(rng.integers(2, 7))
+        got = list(extractors.clique_censuses(mat, u, v, pool, size))
+        assert got == brute_censuses(mat, u, v, pool, size), (n, u, v, pool, size)
+
+
+def test_clique_censuses_leave_out_the_edge_itself():
+    mat = [[0, 3, 1], [3, 0, 2], [1, 2, 0]]
+    assert list(extractors.clique_censuses(mat, 0, 1, [2], 3)) == [0b110]
+    assert list(extractors.clique_censuses(mat, 0, 1, [2], 2)) == [0]
+    assert list(extractors.clique_censuses(mat, 0, 1, [], 3)) == []
+
+
+def _instances(seed, q_range):
+    rng = np.random.default_rng(seed)
+    for n in range(2, 11):
+        for t in range(2, 6):
+            for _ in range(2):
+                q = int(rng.integers(*q_range))
+                yield n, t, q, random_matrix(rng, n, q)
+
+
+def test_move_delta_matches_reference():
+    for n, t, q, mat in _instances(91, (1, 5)):
+        cols = [mat[a][b] for b in range(n) for a in range(b)]
+        rank_of_pair = {p: core.pair_rank(*p) for p in combinations(range(n), 2)}
+        for u, v in combinations(range(n), 2):
+            for new in range(q):  # includes the edge's own colour
+                expect = move_delta_reference(cols, rank_of_pair, n, t, u, v, new)
+                got = constructions._move_delta(mat, n, t, u, v, new)
+                assert got == expect, (n, t, u, v, new)
+
+
+def test_violation_count_matches_reference():
+    for n, t, _, mat in _instances(92, (4, 5)):
+        for u, v in combinations(range(n), 2):
+            for c in range(4):
+                mat[u][v] = mat[v][u] = c
+                expect = violation_count_at_reference(mat, n, t, u, v)
+                got = extractors._violation_count_at(mat, n, t, u, v)
+                assert got == expect, (n, t, u, v, c)
+
+
+def test_f_clique_prune_matches_reference():
+    # the t-clique prune of the exhaustive F search's place; the search as a
+    # whole is pinned to the reference backtracker by its node counts
+    for n, t, _, mat in _instances(93, (4, 5)):
+        for a, b in combinations(range(n), 2):
+            for c in range(4):
+                got = any(
+                    (cen | 1 << c).bit_count() <= 3
+                    for cen in extractors.clique_censuses(mat, a, b, range(a), t)
+                )
+                assert got == f_clique_prune_reference(mat, t, a, b, c), (n, t, a, b, c)
+
+
+# SHA-256 of the HCOL file followed by the search report, recorded before the
+# searches shared the census kernel
+SCATTERED_DIGESTS = {
+    (9, 4, 2): "299e0c070de7837bc6da963405be37c33fd6ed2d003c6dc03ecfd2ab240e981c",
+    (13, 5, 0): "a2ebc4529fbe57257e3be134e7395a5c6b6034e67ad0832dc0f46ef6cbdf2eca",
+}
+# SHA-256 of the HCOL bytes of _search_f_witness_local(4, n, seed=5,
+# restarts=6, steps=3000), or of b"none"
+F_LOCAL_DIGESTS = {
+    4: "c25246128b190fc5be0f4168af01ae59a0ea957983981748d195cd3378fc9295",
+    5: "4ad7d2009220027db61fd9daaaee15e2b7192fa258557f457d9ea524388a8812",
+    6: "9d79c85bdb22d69c785e5391df7aedadeca38b9ef008625dcd60e09e9c62672d",
+}
+
+
+@pytest.mark.parametrize("n,t,seed", sorted(SCATTERED_DIGESTS))
+def test_scattered_trajectory_is_pinned(tmp_path, n, t, seed):
+    out, rep = tmp_path / "s.hcol", tmp_path / "r.txt"
+    argv = ["generate", "scattered", "-n", str(n), "--t", str(t), "-q", "4",
+            "--seed", str(seed), "--out", str(out), "--report", str(rep)]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
+    assert digest == SCATTERED_DIGESTS[(n, t, seed)]
+
+
+@pytest.mark.parametrize("n", sorted(F_LOCAL_DIGESTS))
+def test_f_local_trajectory_is_pinned(n):
+    col = extractors._search_f_witness_local(4, n, seed=5, restarts=6, steps=3000)
+    data = b"none" if col is None else core.colouring_to_bytes(col)
+    assert hashlib.sha256(data).hexdigest() == F_LOCAL_DIGESTS[n]

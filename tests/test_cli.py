@@ -406,6 +406,29 @@ def test_scattered_negative_max_tries_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "n,t,q", [(6, 3, 0), (6, 3, -2), (26, 25, 300)], ids=["q0", "q-2", "q300"]
+)
+def test_scattered_bad_colour_count_is_usage_error(tmp_path, capsys, n, t, q):
+    # q = 0 and q = -2 used to die in randrange, q = 300 in a uint8 cast
+    out = tmp_path / "s.hcol"
+    argv = ["generate", "scattered", "-n", str(n), "--t", str(t), "-q", str(q),
+            "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 64
+    assert not out.exists()
+    assert f"colour count q={q}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_verify_scattered_bad_colour_count_is_usage_error(tmp_path, capsys, q):
+    base = tmp_path / "g.hcol"
+    core.write_colouring(constructions.random_colouring(6, 2, 3, 0), str(base))
+    argv = ["verify", "scattered", "--in", str(base), "--t", "3", "-q", q]
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"colour count q={q}" in captured.err
+
+
 def test_gallai_witness_negative_max_tries_is_usage_error(tmp_path):
     out = tmp_path / "g.hcol"
     argv = ["generate", "gallai-witness", "--t", "5", "--seed", "0",
