@@ -32,8 +32,11 @@ from .core import (
     binomial_column,
     check_colouring_shape,
     check_seed,
+    graph_colour_matrix,
     iter_slabs,
+    matrix_colouring,
     pair_arrays,
+    random_matrix,
 )
 
 
@@ -63,17 +66,15 @@ class ScatteredColouringSpec:
     max_steps: int = 20000
 
 
-def deficient_clique(
-    cols: list[int], n: int, t: int, q: int
-) -> tuple[int, list[int]] | None:
-    """A t-clique missing some colour, as (missing colour, clique), or None.
-    Scans colours in index order and cliques in lexicographic order, so the
-    outcome is deterministic."""
-    col = CompleteColouring(n, 2, q, np.array(cols, dtype=np.uint8))
+def deficient_clique(mat, t: int, q: int) -> tuple[int, list[int]] | None:
+    """A t-clique of the symmetric colour matrix mat missing some colour, as
+    (missing colour, clique), or None.  Scans colours in index order and
+    cliques in lexicographic order, so the outcome is deterministic."""
+    classes = extractors.colour_adjacency(mat, q)
     for colour in range(q):
         others = [c for c in range(q) if c != colour]
-        adj = extractors.union_adjacency(col, others)
-        clique = extractors.lex_first_clique([adj], n, t)
+        adj = extractors.union_adjacency(classes, others)
+        clique = extractors.lex_first_clique([adj], len(mat), t)
         if clique is not None:
             return colour, clique
     return None
@@ -143,7 +144,6 @@ def find_scattered_colouring(
             "must be non-negative"
         )
     n, t, q = spec.n, spec.t, spec.q
-    m = math.comb(n, 2)
     rng = random.Random(spec.seed)
     report = SearchReport(
         operation="find-scattered-colouring",
@@ -158,8 +158,8 @@ def find_scattered_colouring(
         },
     )
 
-    def finish(cols: list[int]) -> CompleteColouring:
-        found = CompleteColouring(n, 2, q, np.array(cols, dtype=np.uint8))
+    def finish(mat) -> CompleteColouring:
+        found = matrix_colouring(mat, q)
         check = verifiers.every_clique_all_colours(found, t, q)
         if check is not None:
             raise ToolkitError(f"search returned a deficient colouring: {check}")
@@ -169,24 +169,20 @@ def find_scattered_colouring(
     for attempt in range(spec.max_tries):
         report.tries = attempt + 1
         if spec.search_mode == "rejection":
-            cols = [rng.randrange(q) for _ in range(m)]
-            if deficient_clique(cols, n, t, q) is None:
-                return finish(cols), report
+            mat = random_matrix(rng, n, range(q))
+            if deficient_clique(mat, t, q) is None:
+                return finish(mat), report
             continue
         # alternate structured and uniform restarts
         if attempt % 2 == 0:
             mat = _block_seed(rng, n, t, q)
         else:
-            mat = [[0] * n for _ in range(n)]
-            for b in range(n):
-                for a in range(b):
-                    mat[a][b] = mat[b][a] = rng.randrange(q)
+            mat = random_matrix(rng, n, range(q))
         for _ in range(spec.max_steps):
             report.steps += 1
-            cols = [mat[a][b] for b in range(n) for a in range(b)]
-            bad = deficient_clique(cols, n, t, q)
+            bad = deficient_clique(mat, t, q)
             if bad is None:
-                return finish(cols), report
+                return finish(mat), report
             missing, clique = bad
             inside = list(combinations(sorted(clique), 2))
             if rng.random() < 0.08:
@@ -389,24 +385,19 @@ def gallai_lower_bound_witness(
         params={"t": t, "base_size": base_size, "clique_cap": clique_cap},
     )
 
-    m2 = math.comb(base_size, 2)
     factors = []
     for palette in _factor_palettes():
         found = None
         for _ in range(max_tries):
             report.tries += 1
-            colours = np.array(
-                [palette[rng.randrange(3)] for _ in range(m2)], dtype=np.uint8
+            mat = random_matrix(rng, base_size, palette)
+            classes = extractors.colour_adjacency(mat, 4)
+            unions = (
+                extractors.union_adjacency(classes, pair)
+                for pair in combinations(palette, 2)
             )
-            candidate = CompleteColouring(base_size, 2, 4, colours)
-            ok = True
-            for pair in combinations(palette, 2):
-                adj = extractors.union_adjacency(candidate, pair)
-                if len(extractors.max_clique(adj, base_size)) >= clique_cap:
-                    ok = False
-                    break
-            if ok:
-                found = candidate
+            if all(len(extractors.max_clique(adj, base_size)) < clique_cap for adj in unions):
+                found = matrix_colouring(mat, 4)
                 break
         if found is None:
             return None, report
@@ -417,10 +408,11 @@ def gallai_lower_bound_witness(
     if rainbow is not None:
         raise ToolkitError(f"product contains a rainbow triangle {rainbow}")
 
-    largest = 0
-    for triple in combinations(range(4), 3):
-        adj = extractors.union_adjacency(product, triple)
-        largest = max(largest, len(extractors.max_clique(adj, product.n)))
+    classes = extractors.colour_adjacency(graph_colour_matrix(product).tolist(), 4)
+    largest = max(
+        len(extractors.max_clique(extractors.union_adjacency(classes, triple), product.n))
+        for triple in combinations(range(4), 3)
+    )
     report.outcome = "found"
     report.details.update(
         {

@@ -73,12 +73,6 @@ class RefusedInstance(ToolkitError):
 # binomials and colex ranking
 
 
-def binomial(n: int, k: int) -> int:
-    if n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def binomial_column(k: int, n_max: int = MAX_VERTICES) -> np.ndarray:
     """C(x, k) for x = 0 .. n_max, as a readonly int64 array."""
@@ -263,6 +257,26 @@ def graph_colour_matrix(col: CompleteColouring) -> np.ndarray:
     a, b = pair_arrays(col.n)
     mat[a, b] = col.colours
     mat[b, a] = col.colours
+    return mat
+
+
+def matrix_colouring(mat, q: int) -> CompleteColouring:
+    """The k=2 colouring whose pair {a, b} has colour mat[a][b], for a
+    symmetric n x n matrix (nested lists or an array); the inverse of
+    graph_colour_matrix."""
+    n = len(mat)
+    a, b = pair_arrays(n)
+    return CompleteColouring(n, 2, q, np.asarray(mat, dtype=np.uint8).reshape(n, n)[a, b])
+
+
+def random_matrix(rng, n: int, palette) -> list[list[int]]:
+    """Symmetric n x n nested list of edge colours with zero diagonal, one
+    palette[rng.randrange(len(palette))] draw per pair in colex order (b
+    outer, a inner), so a seeded random.Random gives a fixed matrix."""
+    mat = [[0] * n for _ in range(n)]
+    for b in range(n):
+        for a in range(b):
+            mat[a][b] = mat[b][a] = palette[rng.randrange(len(palette))]
     return mat
 
 

@@ -31,9 +31,11 @@ from .core import (
     ToolkitError,
     check_seed,
     first_use_search,
+    graph_colour_matrix,
     hedgehog_shape,
     iter_slabs,
-    pair_arrays,
+    matrix_colouring,
+    random_matrix,
 )
 
 RBG = (0, 1, 2)
@@ -150,18 +152,27 @@ def clique_censuses(mat, u: int, v: int, pool, size: int):
         yield census
 
 
-def union_adjacency(col: CompleteColouring, colours) -> list[int]:
-    """Adjacency bitmasks of the graph formed by edges whose colour lies in
-    the given set."""
-    if col.k != 2:
-        raise InvalidArgument("union_adjacency needs a k=2 colouring")
-    wanted = set(colours)
-    a, b = pair_arrays(col.n)
-    adj = [0] * col.n
-    for u, v, c in zip(a.tolist(), b.tolist(), col.colours.tolist()):
-        if c in wanted:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+def colour_adjacency(mat, q: int) -> list[list[int]]:
+    """Adjacency bitmasks of each colour class of the symmetric n x n colour
+    matrix mat: bit u of classes[c][v] is set when {u, v} has colour c < q.
+    One pass over the pairs serves every palette the caller unions."""
+    n = len(mat)
+    classes = [[0] * n for _ in range(q)]
+    for b in range(n):
+        for a, c in enumerate(mat[b][:b]):
+            adj = classes[c]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return classes
+
+
+def union_adjacency(classes: list[list[int]], palette) -> list[int]:
+    """Adjacency bitmasks of the graph formed by the edges whose colour lies
+    in the palette, from the colour classes of colour_adjacency; an empty
+    palette gives the edgeless graph."""
+    adj = [0] * len(classes[0])
+    for c in palette:
+        adj = [x | y for x, y in zip(adj, classes[c])]
     return adj
 
 
@@ -319,15 +330,15 @@ def gallai_two_coloured_clique(g: GallaiColouring) -> CliqueWitness:
         raise InvalidArgument("input colouring lacks a verified rainbow-free flag")
     col = g.colouring
     n = col.n
+    mat = graph_colour_matrix(col).tolist()
+    classes = colour_adjacency(mat, col.q)
     best: list[int] = []
     for pair in combinations(RBG, 2):
-        clique = max_clique(union_adjacency(col, pair), n)
+        clique = max_clique(union_adjacency(classes, pair), n)
         if len(clique) > len(best):
             best = clique
-    census = {
-        col.colour_of((u, v)) for u, v in combinations(sorted(best), 2)
-    }
-    witness = CliqueWitness(tuple(sorted(best)), frozenset(census))
+    census = {mat[u][v] for u, v in combinations(best, 2)}
+    witness = CliqueWitness(tuple(best), frozenset(census))
     target = ceil_cuberoot(n)
     if witness.size < target:
         raise GuaranteeViolated(
@@ -357,14 +368,16 @@ def three_colour_clique_search(
         raise InvalidArgument("clique size must be positive")
     if s > col.n:
         return None
+    mat = graph_colour_matrix(col).tolist()
+    classes = colour_adjacency(mat, col.q)
     adjs = [
-        union_adjacency(col, palette)
+        union_adjacency(classes, palette)
         for palette in combinations(range(col.q), min(3, col.q))
     ]
     best = lex_first_clique(adjs, col.n, s)
     if best is None:
         return None
-    census = frozenset(col.colour_of(pair) for pair in combinations(best, 2))
+    census = frozenset(mat[u][v] for u, v in combinations(best, 2))
     return CliqueWitness(tuple(best), census)
 
 
@@ -432,10 +445,7 @@ def _search_f_witness_local(
     of violated structures; success is certified by the exact checks."""
     rng = random.Random(seed)
     for _ in range(restarts):
-        mat = [[0] * n for _ in range(n)]
-        for b in range(n):
-            for a in range(b):
-                mat[a][b] = mat[b][a] = rng.randrange(4)
+        mat = random_matrix(rng, n, range(4))
 
         def total_violations() -> list[tuple[int, int]]:
             bad_edges = []
@@ -464,10 +474,7 @@ def _search_f_witness_local(
             mat[u][v] = mat[v][u] = best_c
         else:
             continue
-        colours = np.array(
-            [mat[a][b] for b in range(n) for a in range(b)], dtype=np.uint8
-        )
-        col = CompleteColouring(n, 2, 4, colours)
+        col = matrix_colouring(mat, 4)
         if verify_f_witness(col, t).valid:
             return col
     return None
@@ -564,6 +571,8 @@ def f_oracle(
 
 # labels carry at most the three bits red, blue and green
 _POPCOUNT = np.array([bin(m).count("1") for m in range(8)], dtype=np.intp)
+# the graph colour a label stands for: its lowest colour, yellow when none
+_SINGLE_LABEL = np.array([YELLOW, 0, 1, 0, 2, 0, 1, 0], dtype=np.uint8)
 
 
 def triangle_count_bounds(t: int, n: int) -> tuple[int, int | None]:
@@ -607,17 +616,6 @@ class PipelineTrace:
             detail = " ".join(f"{k}={v}" for k, v in sorted(info.items()))
             lines.append(f"stage {name} {detail}".rstrip())
         return "\n".join(lines) + "\n"
-
-
-def _restrict_graph(
-    mat_colour, vertices: list[int], q: int
-) -> CompleteColouring:
-    m = len(vertices)
-    colours = np.array(
-        [mat_colour(vertices[a], vertices[b]) for b in range(m) for a in range(b)],
-        dtype=np.uint8,
-    )
-    return CompleteColouring(m, 2, q, colours)
 
 
 def three_colour_pipeline(
@@ -682,20 +680,13 @@ def three_colour_pipeline(
 
     # stage 4: doubly-labelled edges inside U; a high-degree vertex gives an
     # immediate hedgehog in the colour its label pair excludes
-    mat_label: dict[tuple[int, int], int] = {}
-    neighbours: list[list[int]] = [[] for _ in u_set]
-    for i, u in enumerate(u_set):
-        for j in range(i + 1, len(u_set)):
-            v = u_set[j]
-            mask = int(labels[math.comb(v, 2) + u])
-            mat_label[(u, v)] = mask
-            if mask.bit_count() == 2:
-                neighbours[i].append(v)
-                neighbours[j].append(u)
+    label_mat = graph_colour_matrix(CompleteColouring(n, 2, 1 << aux.q, labels))
+    lab = label_mat.tolist()
+    neighbours = [[v for v in u_set if lab[u][v].bit_count() == 2] for u in u_set]
     heavy = next((i for i, nb in enumerate(neighbours) if len(nb) >= t), None)
     if heavy is not None:
         u = u_set[heavy]
-        masks = {mat_label[tuple(sorted((u, v)))] for v in neighbours[heavy]}
+        masks = {lab[u][v] for v in neighbours[heavy]}
         if len(masks) != 1:
             raise StagedFailure(
                 "double-label-degree",
@@ -704,9 +695,9 @@ def three_colour_pipeline(
             )
         pair_mask = masks.pop()
         excluded = next(c for c in RBG if not pair_mask >> c & 1)
-        body = sorted(neighbours[heavy])[:t]
+        body = neighbours[heavy][:t]
         for x, y in combinations(body, 2):
-            if mat_label[(x, y)] >> excluded & 1:
+            if lab[x][y] >> excluded & 1:
                 raise StagedFailure(
                     "double-label-degree",
                     f"neighbourhood pair {(x, y)} carries the excluded label",
@@ -726,17 +717,14 @@ def three_colour_pipeline(
 
     # stage 6: on V every edge has at most one label; colour unlabelled
     # edges yellow and look for a clique with at most three colours
-    def single_label_colour(x: int, y: int) -> int:
-        mask = mat_label[tuple(sorted((x, y)))]
-        return YELLOW if mask == 0 else (mask & -mask).bit_length() - 1
-
+    single = _SINGLE_LABEL[label_mat]
     if clique_target > len(v_set):
         raise StagedFailure(
             "three-colour-clique",
             f"peeled set of {len(v_set)} cannot hold a clique of {clique_target}",
             witness=trace,
         )
-    chi_v = _restrict_graph(single_label_colour, v_set, 4)
+    chi_v = matrix_colouring(single[np.ix_(v_set, v_set)], 4)
     witness = three_colour_clique_search(chi_v, clique_target)
     if witness is None:
         raise StagedFailure(
@@ -760,7 +748,7 @@ def three_colour_pipeline(
         # stage 7: all labels on W are single and in {red, blue, green}; the
         # restriction is rainbow-free, so extract a two-coloured clique and
         # embed in its missing colour
-        chi_w = _restrict_graph(single_label_colour, w_set, 3)
+        chi_w = matrix_colouring(single[np.ix_(w_set, w_set)], 3)
         gallai = verify_gallai(chi_w)
         if not gallai.verified:
             raise StagedFailure(

@@ -298,6 +298,8 @@ def every_clique_all_colours(
         q = colouring.q
     if q < 1:
         raise InvalidArgument(f"colour count q={q} is below 1")
+    if t < 1:
+        raise InvalidArgument(f"clique size t={t} is below 1")
     n = colouring.n
     if t > n:
         return None

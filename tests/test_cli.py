@@ -429,6 +429,15 @@ def test_verify_scattered_bad_colour_count_is_usage_error(tmp_path, capsys, q):
     assert captured.out == "" and f"colour count q={q}" in captured.err
 
 
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_verify_scattered_bad_clique_size_is_usage_error(tmp_path, capsys, t):
+    base = tmp_path / "g.hcol"
+    core.write_colouring(constructions.random_colouring(6, 2, 3, 0), str(base))
+    assert cli.main(["verify", "scattered", "--in", str(base), "--t", t]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"clique size t={t}" in captured.err
+
+
 def test_gallai_witness_negative_max_tries_is_usage_error(tmp_path):
     out = tmp_path / "g.hcol"
     argv = ["generate", "gallai-witness", "--t", "5", "--seed", "0",

@@ -89,6 +89,9 @@ def test_deficient_clique_is_colour_major_lex_first():
         t = int(rng.integers(1, 6))
         cols = rng.integers(0, q, size=math.comb(n, 2)).tolist()
         colour_of = {pair: cols[core.pair_rank(*pair)] for pair in combinations(range(n), 2)}
+        mat = [[0] * n for _ in range(n)]
+        for (u, v), c in colour_of.items():
+            mat[u][v] = mat[v][u] = c
         expect = None
         for colour in range(q):
             clique = next(
@@ -103,7 +106,7 @@ def test_deficient_clique_is_colour_major_lex_first():
                 expect = (colour, list(clique))
                 break
         found += expect is not None and expect[0] > 0
-        assert constructions.deficient_clique(cols, n, t, q) == expect, (n, q, t)
+        assert constructions.deficient_clique(mat, t, q) == expect, (n, q, t)
     assert found > 0  # some answers come from a colour after the first
 
 

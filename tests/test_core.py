@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -227,6 +228,31 @@ def test_graph_colour_matrix_matches_colour_of():
                 assert mat[u, v] == mat[v, u] == col.colour_of((u, v))
     with pytest.raises(core.InvalidArgument):
         core.graph_colour_matrix(core.CompleteColouring(4, 3, 1, np.zeros(4, dtype=np.uint8)))
+
+
+def test_matrix_colouring_inverts_graph_colour_matrix():
+    rng = np.random.default_rng(9)
+    for n in range(13):
+        q = int(rng.integers(1, 6))
+        col = core.CompleteColouring(
+            n, 2, q, rng.integers(0, q, size=math.comb(n, 2), dtype=np.uint8)
+        )
+        mat = core.graph_colour_matrix(col)
+        assert core.matrix_colouring(mat, q).equals(col)
+        assert core.matrix_colouring(mat.tolist(), q).equals(col)
+    with pytest.raises(core.InvalidArgument):
+        core.matrix_colouring([[0, 2], [2, 0]], 2)
+
+
+def test_random_matrix_draws_one_palette_colour_per_pair_in_colex_order():
+    for n in range(8):
+        for palette in (range(3), (0, 1, 3), (2,)):
+            mat = core.random_matrix(random.Random(n), n, palette)
+            rng = random.Random(n)
+            draws = [palette[rng.randrange(len(palette))] for _ in range(math.comb(n, 2))]
+            assert core.matrix_colouring(mat, 4).colours.tolist() == draws
+            assert all(mat[v][v] == 0 for v in range(n))
+            assert all(mat[u][v] == mat[v][u] for u, v in combinations(range(n), 2))
 
 
 def test_embedding_certificate_round_trip():

@@ -158,6 +158,23 @@ def test_three_colour_clique_search_trivial():
     assert w is not None and len(w.colours) <= 3
 
 
+def test_union_of_colour_classes_is_the_palette_graph():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n = int(rng.integers(0, 10))
+        q = int(rng.integers(1, 5))
+        mat = core.graph_colour_matrix(random_graph_colouring(rng, n, q)).tolist()
+        classes = extractors.colour_adjacency(mat, q)
+        assert len(classes) == q
+        for size in range(q + 1):
+            for palette in combinations(range(q), size):
+                expect = [
+                    sum(1 << u for u in range(n) if u != v and mat[u][v] in palette)
+                    for v in range(n)
+                ]
+                assert extractors.union_adjacency(classes, palette) == expect
+
+
 def test_three_colour_clique_search_matches_enumeration():
     # the answer is the lex-first s-set on at most 3 colours, with its census
     rng = np.random.default_rng(8)

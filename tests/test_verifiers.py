@@ -160,6 +160,13 @@ def test_every_clique_all_colours_rejects_colour_count_below_one():
             verifiers.every_clique_all_colours(col, 3, q)
 
 
+def test_every_clique_all_colours_rejects_clique_size_below_one():
+    col = core.CompleteColouring(4, 2, 2, np.zeros(6, dtype=np.uint8))
+    for t in (0, -1):
+        with pytest.raises(core.InvalidArgument, match=f"clique size t={t}"):
+            verifiers.every_clique_all_colours(col, t, 2)
+
+
 def test_every_clique_matches_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(150):
