@@ -26,6 +26,7 @@ import time
 
 from . import constructions, extractors, finder, verifiers
 from .core import (
+    DEFAULT_NODE_BUDGET,
     HedgehogEmbedding,
     InvalidArgument,
     PreconditionViolated,
@@ -231,14 +232,14 @@ def build_parser() -> _Parser:
     s_ex.add_argument("--t", type=int, required=True)
     s_ex.add_argument("-q", type=int, required=True)
     s_ex.add_argument("-n", type=int, required=True)
-    s_ex.add_argument("--limit", type=int, default=1 << 26)
+    s_ex.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     fo = sub.add_parser("f-oracle", help="threshold F(t): exact value or lower bound")
     fo.add_argument("--t", type=int, required=True)
     fo.add_argument("--cap", type=int, required=True)
     fo.add_argument("--mode", choices=["auto", "exhaustive", "witness"], default="auto")
     fo.add_argument("--seed", type=int, default=0)
-    fo.add_argument("--budget", type=int, default=2_000_000)
+    fo.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
     batch = sub.add_parser("batch", help="run a manifest of commands")
     batch.add_argument("--manifest", required=True)
@@ -327,6 +328,10 @@ def _cmd_extract(args) -> int:
         sys.stderr.write("input has a rainbow triangle\n")
         return EXIT_VIOLATION
     witness = extractors.gallai_two_coloured_clique(gallai)
+    problem = verifiers.verify_clique_census(witness, col, max_colours=2)
+    if problem is not None:
+        sys.stdout.write(f"violation {problem}\n")
+        return EXIT_VIOLATION
     sys.stdout.write(witness.to_text())
     return EXIT_OK
 
@@ -420,7 +425,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    result = verifiers.exhaustive_ramsey_check(args.t, args.q, args.n, limit=args.limit)
+    result = verifiers.exhaustive_ramsey_check(args.t, args.q, args.n, node_budget=args.budget)
     sys.stdout.write(str(result) + "\n")
     if result.holds:
         return EXIT_OK

@@ -32,7 +32,6 @@ from .core import (
     binomial_column,
     check_colouring_shape,
     check_seed,
-    graph_colour_matrix,
     iter_slabs,
     matrix_colouring,
     pair_arrays,
@@ -367,9 +366,14 @@ def gallai_lower_bound_witness(
 
     Base graphs have max(2, floor(t / (16 ln^2 t))) vertices (the asymptotic
     constant is meaningless at desk scale, so the size is floor-clamped).
-    The product is checked rainbow-free in red/blue/green, and the largest
-    clique using at most 3 of the 4 colours is computed exactly; the report
-    carries the resulting bound s (no s-clique on <= 3 colours exists).
+    The product is checked rainbow-free in red/blue/green, and the report
+    carries the largest clique using at most 3 of the 4 colours and the
+    resulting bound s (no s-clique on <= 3 colours exists).  That number is
+    exact without a search on the product: a colour set's union graph in a
+    lexicographic product is the product of the factors' union graphs, and
+    omega(G[H]) = omega(G) * omega(H) (Geller and Stahl, JCTB 19, 1975).
+    Each factor's clique numbers are its base check's, plus base_size for
+    its own palette, whose union graph is complete.
     """
     if t < 2:
         raise InvalidArgument("t must be at least 2")
@@ -386,31 +390,39 @@ def gallai_lower_bound_witness(
     )
 
     factors = []
+    # per factor: colour set (a sorted tuple) -> clique number of its union graph
+    omegas = []
     for palette in _factor_palettes():
         found = None
         for _ in range(max_tries):
             report.tries += 1
             mat = random_matrix(rng, base_size, palette)
             classes = extractors.colour_adjacency(mat, 4)
-            unions = (
-                extractors.union_adjacency(classes, pair)
+            omega = {
+                pair: len(
+                    extractors.max_clique(extractors.union_adjacency(classes, pair), base_size)
+                )
                 for pair in combinations(palette, 2)
-            )
-            if all(len(extractors.max_clique(adj, base_size)) < clique_cap for adj in unions):
+            }
+            if max(omega.values()) < clique_cap:
                 found = matrix_colouring(mat, 4)
                 break
         if found is None:
             return None, report
         factors.append(found)
+        omegas.append({**omega, palette: base_size})
 
     product = lex_product(factors[0], lex_product(factors[1], factors[2]))
     rainbow = verifiers.rainbow_triangle_free(product, (RED, BLUE, GREEN))
     if rainbow is not None:
         raise ToolkitError(f"product contains a rainbow triangle {rainbow}")
 
-    classes = extractors.colour_adjacency(graph_colour_matrix(product).tolist(), 4)
+    # two 3-sets of the 4 colours share 2 or 3 colours, so every key exists
     largest = max(
-        len(extractors.max_clique(extractors.union_adjacency(classes, triple), product.n))
+        math.prod(
+            omega[tuple(c for c in palette if c in triple)]
+            for palette, omega in zip(_factor_palettes(), omegas)
+        )
         for triple in combinations(range(4), 3)
     )
     report.outcome = "found"

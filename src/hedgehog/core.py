@@ -64,9 +64,7 @@ class GuaranteeViolated(ToolkitError):
 
 
 class RefusedInstance(ToolkitError):
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +487,9 @@ class SearchReport:
 
 # ---------------------------------------------------------------------------
 # exhaustive colouring search
+
+# the node budget of both exhaustive deciders unless a caller gives one
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
 def first_use_search(

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import finder, verifiers
 from .core import (
+    DEFAULT_NODE_BUDGET,
     CliqueWitness,
     CompleteColouring,
     GuaranteeViolated,
@@ -505,7 +506,7 @@ def f_oracle(
     n_cap: int,
     mode: str = "auto",
     seed: int = 0,
-    node_budget: int = 2_000_000,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     restarts: int = 8,
     steps: int = 4000,
 ) -> FOracleResult:

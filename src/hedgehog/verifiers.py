@@ -19,12 +19,14 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    DEFAULT_NODE_BUDGET,
     CliqueWitness,
     CompleteColouring,
     HedgehogEmbedding,
     InvalidArgument,
     RefusedInstance,
     ToolkitError,
+    check_colouring_shape,
     first_use_search,
     graph_colour_matrix,
     hedgehog_shape,
@@ -427,8 +429,13 @@ class RamseyCheckResult:
         )
 
 
+# the search keeps one stack frame per coloured triple, so it takes at most
+# C(18, 3) triples: deep enough for n = 7, well inside the recursion limit
+MAX_RAMSEY_TRIPLES = math.comb(18, 3)
+
+
 def exhaustive_ramsey_check(
-    t: int, q: int, n: int, limit: int = 1 << 26
+    t: int, q: int, n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RamseyCheckResult:
     """Decide by exhaustion whether every q-colouring of the complete
     3-uniform hypergraph on [n] contains a monochromatic body-size-t
@@ -442,22 +449,30 @@ def exhaustive_ramsey_check(
     branch once its new triple completes a hedgehog (no extension loses
     it), and drops colour permutations by first use (the smallest colouring
     of an orbit is its first-use form).  Its first leaf is therefore the
-    scan's first counterexample, which for q=2 has top digit 0.
+    scan's first counterexample, which for q=2 has top digit 0.  A "holds"
+    verdict counts the whole scan (for q=2 half the colourings: a colour
+    swap fixes the top digit).
 
-    Instances beyond `limit` colourings (after halving for q=2, where a
-    colour swap fixes the top digit) are refused with a size estimate.
+    Instances of more than MAX_RAMSEY_TRIPLES triples (n > 18) are refused
+    before any work, and so is a search that passes `node_budget` nodes.
     """
-    hedgehog_shape(t, 3)
+    shape = hedgehog_shape(t, 3)
     if q < 1 or n < 0:
         raise InvalidArgument(f"need q >= 1 and n >= 0, got q={q} n={n}")
+    if node_budget < 0:
+        raise InvalidArgument(f"node budget {node_budget} is negative")
     m = math.comb(n, 3)
+    if m > MAX_RAMSEY_TRIPLES:
+        raise RefusedInstance(
+            f"{m} triples on n={n} vertices exceed the search's "
+            f"{MAX_RAMSEY_TRIPLES} (n <= 18)"
+        )
+    check_colouring_shape(n, 3, q)
+    # with no room for a hedgehog every colouring is hedgehog-free
+    fits = n >= shape.vertex_count
     total = q**m
     # for q=2 the indices with top digit 0 represent both swap classes
     scan = total // 2 if q == 2 and m > 0 else total
-    if scan > limit:
-        raise RefusedInstance(
-            f"{total} colourings (scan {scan}) exceed limit {limit}", estimate=total
-        )
 
     triples = [(a, b, c) for c in range(n) for b in range(c) for a in range(b)]
     triples.reverse()
@@ -479,6 +494,8 @@ def exhaustive_ramsey_check(
         # the colouring had no hedgehog before this triple, so a hedgehog now
         # has two of its vertices x < y in the body and the third, z, outside
         flip(step, colour)
+        if not fits:
+            return True
         masks = cand[colour]
         a, b, c = triples[step]
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
@@ -498,7 +515,12 @@ def exhaustive_ramsey_check(
                         return False
         return True
 
-    status, found, _ = first_use_search(m, q, q, place, flip)
+    status, found, nodes = first_use_search(m, q, q, place, flip, node_budget)
+    if status == "budget":
+        raise RefusedInstance(
+            f"node budget {node_budget} exhausted after {nodes} search nodes "
+            f"(t={t} q={q} n={n})"
+        )
     if status == "none":
         return RamseyCheckResult(t, q, n, True, None, scan, total)
     index = 0

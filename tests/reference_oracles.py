@@ -5,6 +5,7 @@ with the package code they cross-check."""
 import math
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 
 from hedgehog.core import (
@@ -326,3 +327,17 @@ def f_clique_prune_reference(mat, t: int, a: int, b: int, c: int) -> bool:
             if census.bit_count() <= 3:
                 return True
     return False
+
+
+def gallai_product_clique_reference(product: CompleteColouring) -> int:
+    """The largest clique using at most 3 of the 4 colours, by networkx's
+    exact maximum-clique search on each 3-colour union graph of the whole
+    product: the number `gallai_lower_bound_witness` reads off its factors."""
+    pairs = [(a, b) for b in range(product.n) for a in range(b)]
+    largest = 0
+    for triple in combinations(range(4), 3):
+        g = nx.Graph()
+        g.add_nodes_from(range(product.n))
+        g.add_edges_from(p for p, c in zip(pairs, product.colours.tolist()) if c in triple)
+        largest = max(largest, nx.max_weight_clique(g, weight=None)[1])
+    return largest

@@ -115,7 +115,16 @@ def test_search_exit_codes():
     assert "holds" in r.stdout
     r = run_cli(["search", "exhaustive", "--t", "2", "-q", "2", "-n", "2"], expect=2)
     assert "counterexample" in r.stdout
-    run_cli(["search", "exhaustive", "--t", "3", "-q", "2", "-n", "12"], expect=3)
+    r = run_cli(
+        ["search", "exhaustive", "--t", "3", "-q", "2", "-n", "12", "--budget", "2000"], expect=3
+    )
+    assert r.stderr == (
+        "refused: node budget 2000 exhausted after 2001 search nodes (t=3 q=2 n=12)\n"
+    )
+    # too many triples for the search: refused at once, with no traceback
+    r = run_cli(["search", "exhaustive", "--t", "3", "-q", "1200", "-n", "20"], expect=3)
+    assert r.stdout == ""
+    assert r.stderr == "refused: 1140 triples on n=20 vertices exceed the search's 816 (n <= 18)\n"
 
 
 SEARCH_PINS = [
@@ -127,11 +136,15 @@ SEARCH_PINS = [
      "HCOL v1 n=6 k=3 q=2\n11111111110000000000\n"),
     (["--t", "2", "-q", "2", "-n", "3"], 0,
      "ramsey-check t=2 q=2 n=3: holds (1 of 2 colourings checked)\n"),
-    (["--t", "3", "-q", "2", "-n", "12"], 3, ""),
+    (["--t", "3", "-q", "2", "-n", "7"], 0,
+     "ramsey-check t=3 q=2 n=7: holds (17179869184 of 34359738368 colourings checked)\n"),
+    (["--t", "3", "-q", "2", "-n", "12", "--budget", "2000"], 3, ""),
 ]
 
 
-@pytest.mark.parametrize("flags, code, out", SEARCH_PINS, ids=["n5", "n6", "holds", "refused"])
+@pytest.mark.parametrize(
+    "flags, code, out", SEARCH_PINS, ids=["n5", "n6", "holds", "holds-n7", "refused"]
+)
 def test_search_exhaustive_stdout_is_pinned(flags, code, out, capsys):
     # the count is the counterexample's index in the scan order plus one;
     # at n = 5 the all-zero colouring has no room for a body-3 hedgehog
@@ -139,8 +152,22 @@ def test_search_exhaustive_stdout_is_pinned(flags, code, out, capsys):
     captured = capsys.readouterr()
     assert captured.out == out
     if code == 3:
-        assert captured.err.startswith("refused: 16849966666969149871666884429387")
-        assert captured.err.endswith(" exceed limit 67108864\n")
+        assert captured.err == (
+            "refused: node budget 2000 exhausted after 2001 search nodes (t=3 q=2 n=12)\n"
+        )
+
+
+def test_search_exhaustive_budget_shares_the_f_oracle_default(capsys):
+    parser = cli.build_parser()
+    n5 = ["search", "exhaustive", "--t", "3", "-q", "2", "-n", "5"]
+    search = parser.parse_args(n5)
+    oracle = parser.parse_args(["f-oracle", "--t", "3", "--cap", "5"])
+    assert search.budget == oracle.budget == core.DEFAULT_NODE_BUDGET == 2_000_000
+    assert cli.main(n5 + ["--budget", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: node budget -1 is negative\n"
+    # the old scan-size flag is gone
+    assert cli.main(n5 + ["--limit", "9"]) == 64
 
 
 def test_f_oracle_command():
@@ -292,7 +319,7 @@ def test_exit_codes_of_real_failures_agree_in_batch(tmp_path, capsys):
     cert.write_text("HEDGEHOG v1\nk 3\nt 2\ncolour 0\nbody 0 1\nspine 0 1 -> x\n")
     entries = {
         f"verify embedding --in {col} --cert {cert}": 64,  # InvalidArgument
-        "search exhaustive --t 3 -q 2 -n 12": 3,  # RefusedInstance
+        "search exhaustive --t 3 -q 2 -n 12 --budget 2000": 3,  # RefusedInstance
         "search exhaustive --bogus": 64,  # bad flag
         f"find hedgehog --t 3 --in {tmp_path / 'absent.hcol'}": 64,  # OSError
         f"pipeline --t 3 --in {col} --seed 0 --scale clique_target=x": 64,
@@ -444,6 +471,24 @@ def test_gallai_witness_negative_max_tries_is_usage_error(tmp_path):
             "--max-tries", "-1", "--out", str(out)]
     assert cli.main(argv) == 64
     assert not out.exists()
+
+
+def test_extract_gallai_checks_its_witness_before_printing(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g.hcol"
+    col = core.CompleteColouring(4, 2, 3, np.array([0, 0, 1, 0, 1, 2], dtype=np.uint8))
+    core.write_colouring(col, path)
+    assert cli.main(["extract", "gallai", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("CLIQUE v1")
+    # a clique whose claimed census misses a colour, and one with three colours
+    bad = [
+        core.CliqueWitness((0, 1, 2), frozenset({0})),
+        core.CliqueWitness((0, 1, 2, 3), frozenset({0, 1, 2})),
+    ]
+    for witness, kind in zip(bad, ["census: claimed colours [0], actual [0, 1]",
+                                   "census: 3 colours exceed limit 2"]):
+        monkeypatch.setattr(extractors, "gallai_two_coloured_clique", lambda g: witness)
+        assert cli.main(["extract", "gallai", "--in", str(path)]) == 2
+        assert capsys.readouterr().out == f"violation {kind}\n"
 
 
 def test_f_oracle_negative_budget_is_usage_error(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hedgehog import constructions, core, extractors, verifiers
+from reference_oracles import gallai_product_clique_reference
 
 
 def test_random_colouring_deterministic():
@@ -332,6 +333,47 @@ def test_gallai_lower_bound_witness():
             )
             is not None
         )
+
+
+@pytest.mark.parametrize("t", [2, 8, 64, 3000, 4000, 5000])
+def test_gallai_clique_number_equals_networkx(t):
+    # base sizes 2, 3 and 4; every seed, including t = 5000 seeds 1, 6 and
+    # 10, on which an exact search on the whole 64-vertex product ran for minutes
+    for seed in range(20):
+        col, report = constructions.gallai_lower_bound_witness(t, seed)
+        assert report.details["max_three_colour_clique"] == gallai_product_clique_reference(col)
+
+
+def brute_clique_number(col, colours):
+    """Largest vertex set whose internal edges all take a colour in `colours`."""
+    for size in range(col.n, 0, -1):
+        for verts in combinations(range(col.n), size):
+            if all(col.colour_of(pair) in colours for pair in combinations(verts, 2)):
+                return size
+    return 0
+
+
+def test_gallai_clique_number_is_the_product_of_factor_clique_numbers():
+    # t = 8000 has 6-vertex bases and a 216-vertex product; read the factors
+    # back off the product's block structure, v = 36 a + 6 b + c
+    for seed in range(20):
+        col, report = constructions.gallai_lower_bound_witness(8000, seed)
+        assert col.n == 216
+        factors = []
+        for step in (36, 6, 1):
+            pairs = [(step * a, step * b) for b in range(6) for a in range(b)]
+            colours = np.array([col.colour_of(pair) for pair in pairs], dtype=np.uint8)
+            factors.append(core.CompleteColouring(6, 2, 4, colours))
+        rebuilt = constructions.lex_product(
+            factors[0], constructions.lex_product(factors[1], factors[2])
+        )
+        assert rebuilt.equals(col)
+        omega = max(
+            math.prod(brute_clique_number(f, triple) for f in factors)
+            for triple in combinations(range(4), 3)
+        )
+        assert report.details["max_three_colour_clique"] == omega
+        assert report.details["clique_free_order"] == omega + 1
 
 
 def test_gallai_witness_factor_surjectivity_census():

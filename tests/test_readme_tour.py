@@ -27,6 +27,7 @@ def test_readme_tour_runs_with_the_documented_exit_codes(tmp_path, monkeypatch, 
     assert commands and commands[-1][0] == "batch"
     for argv in commands:
         # at n = 6 the exhaustive search finds a 2-colouring of the complete
-        # 3-graph with no monochromatic hedgehog: a counterexample, exit 2
+        # 3-graph with no monochromatic hedgehog: a counterexample, exit 2;
+        # at n = 7 it holds, exit 0
         expect = 2 if argv[:2] == ["search", "exhaustive"] and argv[-2:] == ["-n", "6"] else 0
         assert cli.main(argv) == expect, (argv, capsys.readouterr())

@@ -372,8 +372,41 @@ def test_exhaustive_ramsey_cross_check_is_not_an_assert(monkeypatch):
 
 
 def test_exhaustive_ramsey_refuses_large():
-    with pytest.raises(core.RefusedInstance):
-        verifiers.exhaustive_ramsey_check(3, 2, 12)
+    message = r"^node budget 2000 exhausted after 2001 search nodes \(t=3 q=2 n=12\)$"
+    with pytest.raises(core.RefusedInstance, match=message):
+        verifiers.exhaustive_ramsey_check(3, 2, 12, node_budget=2000)
+
+
+def test_exhaustive_ramsey_budget_boundary():
+    # the n = 6 counterexample takes 20 search nodes; a negative budget is a usage error
+    with pytest.raises(core.RefusedInstance, match="after 20 search nodes"):
+        verifiers.exhaustive_ramsey_check(3, 2, 6, node_budget=19)
+    assert verifiers.exhaustive_ramsey_check(3, 2, 6, node_budget=20).checked == 1024
+    with pytest.raises(core.InvalidArgument, match="node budget -1 is negative"):
+        verifiers.exhaustive_ramsey_check(3, 2, 6, node_budget=-1)
+
+
+def test_exhaustive_ramsey_refuses_more_triples_than_its_cap():
+    # refused before q**m, the triple list or the first node: n = 20 has
+    # 1140 triples, and q = 1200 > 1140 would never backtrack
+    message = r"^1140 triples on n=20 vertices exceed the search's 816 \(n <= 18\)$"
+    with pytest.raises(core.RefusedInstance, match=message):
+        verifiers.exhaustive_ramsey_check(3, 1200, 20)
+    with pytest.raises(core.RefusedInstance, match="4495501000 triples"):
+        verifiers.exhaustive_ramsey_check(3, 2, 3000)
+    with pytest.raises(core.InvalidArgument, match="colour count q=300"):
+        verifiers.exhaustive_ramsey_check(3, 300, 5)
+
+
+def test_exhaustive_ramsey_runs_as_deep_as_its_cap():
+    # a fresh colour is always free, so the search colours all 816 triples of
+    # n = 18 without backtracking: one stack frame each, and no RecursionError
+    r = verifiers.exhaustive_ramsey_check(3, 256, 18)
+    assert r.counterexample.edge_count == verifiers.MAX_RAMSEY_TRIPLES == 816
+    assert int(r.counterexample.colours.max()) < 256
+    # no hedgehog of body 9 fits in 18 vertices: the all-zero colouring is first
+    r = verifiers.exhaustive_ramsey_check(9, 2, 18)
+    assert r.checked == 1 and not r.counterexample.colours.any()
 
 
 def test_exhaustive_fast_path_agrees_with_oracle_per_colouring():
