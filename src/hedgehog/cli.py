@@ -90,21 +90,12 @@ def _palette(text: str) -> list[int]:
     return values
 
 
-def _write_report(report, path: str | None):
-    text = report.to_text()
+def _emit(text: str, path: str | None, stream):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
-        sys.stderr.write(text)
-
-
-def _emit(text: str, path: str | None):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        stream.write(text)
 
 
 def build_parser() -> _Parser:
@@ -145,7 +136,6 @@ def build_parser() -> _Parser:
     )
     g_gal.add_argument("--t", type=int, required=True)
     g_gal.add_argument("--seed", type=int, required=True)
-    g_gal.add_argument("--max-tries", type=int, default=200)
     g_gal.add_argument("--out", required=True)
     g_gal.add_argument("--report", default=None)
 
@@ -267,17 +257,13 @@ def _cmd_generate(args) -> int:
             max_steps=args.max_steps,
         )
         col, report = constructions.find_scattered_colouring(spec)
-        _write_report(report, args.report)
+        _emit(report.to_text(), args.report, sys.stderr)
         if col is None:
             return EXIT_FAILED
         write_colouring(col, args.out)
         return EXIT_OK
-    col, report = constructions.gallai_lower_bound_witness(
-        args.t, args.seed, max_tries=args.max_tries
-    )
-    _write_report(report, args.report)
-    if col is None:
-        return EXIT_FAILED
+    col, report = constructions.gallai_lower_bound_witness(args.t, args.seed)
+    _emit(report.to_text(), args.report, sys.stderr)
     write_colouring(col, args.out)
     return EXIT_OK
 
@@ -305,7 +291,7 @@ def _cmd_find(args) -> int:
         emb = finder.find_monochromatic_hedgehog(col, args.t)
     else:
         emb = finder.find_hedgehog_in_colour(col, args.t, int(args.colour))
-    _emit(emb.to_text(), args.cert)
+    _emit(emb.to_text(), args.cert, sys.stdout)
     return EXIT_OK
 
 
@@ -358,7 +344,7 @@ def _cmd_pipeline(args) -> int:
     scale = _parse_scale(args.scale)
     emb, trace = extractors.three_colour_pipeline(col, args.t, seed=args.seed, **scale)
     sys.stderr.write(trace.to_text())
-    _emit(emb.to_text(), args.cert)
+    _emit(emb.to_text(), args.cert, sys.stdout)
     return EXIT_OK
 
 

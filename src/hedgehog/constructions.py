@@ -24,6 +24,7 @@ from .core import (
     GREEN,
     InfeasibleSpec,
     InvalidArgument,
+    MAX_VERTICES,
     PreconditionViolated,
     RED,
     SearchReport,
@@ -357,15 +358,17 @@ def _factor_palettes() -> list[tuple[int, int, int]]:
     return [(RED, BLUE, YELLOW), (RED, GREEN, YELLOW), (BLUE, GREEN, YELLOW)]
 
 
-def gallai_lower_bound_witness(
-    t: int, seed: int, max_tries: int = 200
-) -> tuple[CompleteColouring | None, SearchReport]:
-    """Lexicographic product of three 3-colourings, one per yellow-containing
-    colour triple, each base verified to keep every two-colour union free of
-    cliques of order max(3, ceil(4 ln t)).
+def gallai_lower_bound_witness(t: int, seed: int) -> tuple[CompleteColouring, SearchReport]:
+    """Lexicographic product of three random 3-colourings, one per
+    yellow-containing colour triple, each base checked to keep every
+    two-colour union free of cliques of order max(3, ceil(4 ln t)).
 
     Base graphs have max(2, floor(t / (16 ln^2 t))) vertices (the asymptotic
     constant is meaningless at desk scale, so the size is floor-clamped).
+    A t whose product would exceed MAX_VERTICES is refused before any draw.
+    A union graph on base_size vertices has no larger clique, and base_size
+    is below the clique order for every t whose product fits, so one draw
+    per palette passes; the check raises ToolkitError otherwise.
     The product is checked rainbow-free in red/blue/green, and the report
     carries the largest clique using at most 3 of the 4 colours and the
     resulting bound s (no s-clique on <= 3 colours exists).  That number is
@@ -377,15 +380,15 @@ def gallai_lower_bound_witness(
     """
     if t < 2:
         raise InvalidArgument("t must be at least 2")
-    if max_tries < 0:
-        raise InvalidArgument(f"max_tries={max_tries} is negative")
     base_size = max(2, int(t / (16 * math.log(t) ** 2)))
     clique_cap = max(3, math.ceil(4 * math.log(t)))
+    if base_size**3 > MAX_VERTICES:
+        raise InvalidArgument(f"n={base_size**3} exceeds MAX_VERTICES={MAX_VERTICES}")
     rng = random.Random(seed)
     report = SearchReport(
         operation="gallai-lower-bound-witness",
         seed=seed,
-        outcome="exhausted",
+        outcome="found",
         params={"t": t, "base_size": base_size, "clique_cap": clique_cap},
     )
 
@@ -393,23 +396,19 @@ def gallai_lower_bound_witness(
     # per factor: colour set (a sorted tuple) -> clique number of its union graph
     omegas = []
     for palette in _factor_palettes():
-        found = None
-        for _ in range(max_tries):
-            report.tries += 1
-            mat = random_matrix(rng, base_size, palette)
-            classes = extractors.colour_adjacency(mat, 4)
-            omega = {
-                pair: len(
-                    extractors.max_clique(extractors.union_adjacency(classes, pair), base_size)
-                )
-                for pair in combinations(palette, 2)
-            }
-            if max(omega.values()) < clique_cap:
-                found = matrix_colouring(mat, 4)
-                break
-        if found is None:
-            return None, report
-        factors.append(found)
+        report.tries += 1
+        mat = random_matrix(rng, base_size, palette)
+        classes = extractors.colour_adjacency(mat, 4)
+        omega = {
+            pair: len(extractors.max_clique(extractors.union_adjacency(classes, pair), base_size))
+            for pair in combinations(palette, 2)
+        }
+        if max(omega.values()) >= clique_cap:
+            raise ToolkitError(
+                f"base for palette {palette} has a {max(omega.values())}-clique "
+                f"in a two-colour union, at or above the cap {clique_cap}"
+            )
+        factors.append(matrix_colouring(mat, 4))
         omegas.append({**omega, palette: base_size})
 
     product = lex_product(factors[0], lex_product(factors[1], factors[2]))
@@ -425,7 +424,6 @@ def gallai_lower_bound_witness(
         )
         for triple in combinations(range(4), 3)
     )
-    report.outcome = "found"
     report.details.update(
         {
             "n": product.n,

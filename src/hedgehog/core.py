@@ -153,12 +153,10 @@ def iter_slabs(n: int, k: int):
     The k-subsets with top vertex `top` have colex ranks start + i for
     i < C(top, k-1); subset i is lower[0][i] < ... < lower[k-2][i] < top.
     `lower` holds prefix views of one set of int32 vertex arrays, so a slab
-    costs no allocation: for k=2 the vertices of [n-1], for k=3 the arrays of
-    pair_arrays(n), for k=4 the triple arrays of [n-1], built once per call.
+    costs no allocation: for k=3 the arrays of pair_arrays(n), for k=4 the
+    triple arrays of [n-1], built once per call.
     """
-    if k == 2:
-        full = (np.arange(n - 1, dtype=np.int32),)
-    elif k == 3:
+    if k == 3:
         full = pair_arrays(n)
     elif k == 4:
         # the triples of [n-1]: top c once for each pair of [c], and those
@@ -346,13 +344,12 @@ def hedgehog_edges(t: int, k: int = 3) -> list[tuple[int, ...]]:
     """Edge list of the k-uniform hedgehog: body [0, t), one private spine
     vertex per (k-1)-subset of the body, spines numbered t, t+1, ... in colex
     order of their subsets."""
-    shape = hedgehog_shape(t, k)
+    hedgehog_shape(t, k)  # raises on a bad (t, k)
     edges = []
     for i, sub in enumerate(
         sorted(combinations(range(t), k - 1), key=lambda s: rank_subset(s))
     ):
         edges.append(tuple(sorted(sub + (t + i,))))
-    assert len(edges) == shape.edge_count
     return edges
 
 

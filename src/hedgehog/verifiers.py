@@ -5,9 +5,10 @@ code it is meant to police; the only shared code is the core substrate
 (ranking, the slab walk, the colouring container and its dense colour
 matrix, and the first-use colouring search).  The rainbow scan and the
 complement-lift check run per slab on numpy arrays, the latter over that
-matrix with a different formula from the lift's own kernel; the exhaustive
-small-Ramsey search is the core's first-use search with a hedgehog prune of
-its own; the other checks are plain loops.
+matrix with a different formula from the lift's own kernel.  One hedgehog
+body search serves the existence oracle and the exhaustive small-Ramsey
+search, which is the core's first-use search pruned by that body search
+around each newly coloured triple; the other checks are plain loops.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _spine_matching(masks: list[int]) -> list[int] | None:
     masks[i] is a bitmask of vertices usable as the i-th pair's spine.
     Pairs are processed scarcest-first.
     """
-    order = sorted(range(len(masks)), key=lambda i: bin(masks[i]).count("1"))
+    order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
     match_of: dict[int, int] = {}
     assigned: dict[int, int] = {}
     for i in order:
@@ -169,89 +170,96 @@ def _spine_matching(masks: list[int]) -> list[int] | None:
 
 
 def _spine_candidates(colouring: CompleteColouring, colour: int):
-    """For every (k-1)-subset, the bitmask of w completing an edge of the
-    given colour.  A plain loop over the edges in colex order; intended for
-    the small n this oracle is used at."""
+    """For every (k-1)-subset, as a sorted tuple, the bitmask of the w
+    completing an edge of the given colour; subsets with no such w are
+    absent.  One slab walk finds the edges of the colour."""
     n, k = colouring.n, colouring.k
     if k not in (3, 4):
         raise InvalidArgument(f"hedgehog oracle supports k in (3, 4), got k={k}")
-    edges = sorted(combinations(range(n), k), key=lambda e: e[::-1])
     cand: dict[tuple[int, ...], int] = {}
-    for edge, c in zip(edges, colouring.colours.tolist()):
-        if c == colour:
-            for w in edge:
-                sub = tuple(v for v in edge if v != w)
-                cand[sub] = cand.get(sub, 0) | (1 << w)
+    for top, start, lower in iter_slabs(n, k):
+        hits = np.flatnonzero(colouring.colours[start : start + len(lower[0])] == colour)
+        for low in zip(*(arr[hits].tolist() for arr in lower)):
+            edge = low + (top,)
+            for i, w in enumerate(edge):
+                sub = edge[:i] + edge[i + 1 :]
+                cand[sub] = cand.get(sub, 0) | 1 << w
     return cand
+
+
+def _first_hedgehog(cand, n: int, t: int, k: int, fixed=(), banned: int = 0):
+    """The first hedgehog body of size t on [n], with its spines, that holds
+    the vertices `fixed` (in increasing order) and none of the bitmask
+    `banned`; the other body vertices are taken in lexicographic order.
+    cand maps a sorted (k-1)-tuple to the bitmask of its spine candidates.
+
+    A branch dies as soon as some (k-1)-subset of the body has no candidate
+    left outside the body (no extension gives it one back).  A complete body
+    passes a Hall count, its candidates' union against its subset count,
+    before maximum bipartite matching decides it; unlike the finder's greedy
+    the matching is exact, so a None answer is exhaustive.  Returns (body,
+    spines) with the body sorted, or None.
+    """
+    spines_of = cand.get
+    inside = 0
+    for v in fixed:
+        inside |= 1 << v
+    blocked = inside | banned
+    pool = [v for v in range(n) if not blocked >> v & 1]
+
+    def settle(body, masks):
+        # masks: the candidates outside the complete body of its
+        # (k-1)-subsets in order; an empty one fails the matching
+        union = 0
+        for free in masks:
+            union |= free
+        if union.bit_count() < len(masks):
+            return None
+        chosen = _spine_matching(masks)
+        if chosen is None:
+            return None
+        return tuple(body), dict(zip(combinations(body, k - 1), chosen))
+
+    def grow(body, inside, start):
+        last = len(body) + 1 == t
+        for i in range(start, len(pool) - (t - len(body)) + 1):
+            v = pool[i]
+            probe = inside | 1 << v
+            outside = ~probe
+            order = sorted(body + [v])
+            masks = []
+            for sub in combinations(order, k - 1):
+                free = spines_of(sub, 0) & outside
+                if not free:
+                    break
+                masks.append(free)
+            else:
+                found = settle(order, masks) if last else grow(order, probe, i + 1)
+                if found is not None:
+                    return found
+        return None
+
+    body = list(fixed)
+    if len(body) < t:
+        return grow(body, inside, 0)
+    return settle(body, [spines_of(sub, 0) & ~inside for sub in combinations(body, k - 1)])
 
 
 def has_monochromatic_hedgehog(
     colouring: CompleteColouring, t: int, colour: int
 ) -> HedgehogEmbedding | None:
     """Exact decision: does the colouring contain a monochromatic hedgehog of
-    body size t in the given colour?
-
-    Bodies are enumerated lexicographically with fail-first pruning (a branch
-    dies as soon as some body pair has no spine candidate); for each complete
-    body, spine feasibility is decided by maximum bipartite matching, which
-    unlike the greedy used in the finder is exact.  A None answer is
-    therefore exhaustive.
-    """
+    body size t in the given colour?  Returns the lexicographically first
+    body's embedding, or None after an exhaustive search."""
     n, k = colouring.n, colouring.k
     shape = hedgehog_shape(t, k)
     if n < shape.vertex_count:
         return None
-    cand = _spine_candidates(colouring, colour)
-
-    body: list[int] = []
-    body_mask = 0
-
-    def pair_masks() -> list[int] | None:
-        masks = []
-        for sub in combinations(body, k - 1):
-            m = cand.get(tuple(sorted(sub)), 0) & ~body_mask
-            if not m:
-                return None
-            masks.append(m)
-        return masks
-
-    def feasible_with(v: int) -> bool:
-        # only the subsets involving v are new; older ones lose at most v
-        probe = body_mask | (1 << v)
-        for sub in combinations(body + [v], k - 1):
-            m = cand.get(tuple(sorted(sub)), 0) & ~probe
-            if not m:
-                return False
-        return True
-
-    def extend(start: int) -> HedgehogEmbedding | None:
-        nonlocal body_mask
-        if len(body) == t:
-            masks = pair_masks()
-            if masks is None:
-                return None
-            subsets = [tuple(sorted(s)) for s in combinations(body, k - 1)]
-            chosen = _spine_matching(masks)
-            if chosen is None:
-                return None
-            return HedgehogEmbedding(
-                colour=colour,
-                body=tuple(sorted(body)),
-                spines=dict(zip(subsets, chosen)),
-            )
-        for v in range(start, n - (t - len(body)) + 1):
-            if len(body) + 1 >= k - 1 and not feasible_with(v):
-                continue
-            body.append(v)
-            body_mask |= 1 << v
-            found = extend(v + 1)
-            body.pop()
-            body_mask &= ~(1 << v)
-            if found is not None:
-                return found
+    found = _first_hedgehog(_spine_candidates(colouring, colour), n, t, k)
+    if found is None:
         return None
-
-    return extend(0)
+    body, spines = found
+    return HedgehogEmbedding(colour=colour, body=body, spines=spines)
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +484,12 @@ def exhaustive_ramsey_check(
 
     triples = [(a, b, c) for c in range(n) for b in range(c) for a in range(b)]
     triples.reverse()
-    # cand[colour][u * n + v]: bitmask of the w with {u, v, w} coloured so far
+    # cand[colour][(u, v)]: bitmask of the w with {u, v, w} coloured so far
     # in that colour, i.e. the spine candidates of the pair u < v; a triple
     # owns its three bits, so placing and undoing it both flip them
-    cand = [[0] * (n * n) for _ in range(q)]
+    cand = [dict.fromkeys(combinations(range(n), 2), 0) for _ in range(q)]
     spine_bits = [
-        ((a * n + b, 1 << c), (a * n + c, 1 << b), (b * n + c, 1 << a))
-        for a, b, c in triples
+        (((a, b), 1 << c), ((a, c), 1 << b), ((b, c), 1 << a)) for a, b, c in triples
     ]
 
     def flip(step: int, colour: int) -> None:
@@ -496,23 +503,11 @@ def exhaustive_ramsey_check(
         flip(step, colour)
         if not fits:
             return True
-        masks = cand[colour]
         a, b, c = triples[step]
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            rest = [v for v in range(n) if v not in (x, y, z)]
-            for others in combinations(rest, t - 2):
-                body = sorted((x, y) + others)
-                inside = sum(1 << v for v in body)
-                spines = []
-                for u, v in combinations(body, 2):
-                    free = masks[u * n + v] & ~inside
-                    if not free:
-                        break
-                    spines.append(free)
-                else:
-                    if _spine_matching(spines) is not None:
-                        flip(step, colour)
-                        return False
+            if _first_hedgehog(cand[colour], n, t, 3, (x, y), 1 << z) is not None:
+                flip(step, colour)
+                return False
         return True
 
     status, found, nodes = first_use_search(m, q, q, place, flip, node_budget)

@@ -465,12 +465,15 @@ def test_verify_scattered_bad_clique_size_is_usage_error(tmp_path, capsys, t):
     assert captured.out == "" and f"clique size t={t}" in captured.err
 
 
-def test_gallai_witness_negative_max_tries_is_usage_error(tmp_path):
+@pytest.mark.parametrize("t", ["16624", "1000000000"])
+def test_gallai_witness_too_large_is_refused_before_any_draw(tmp_path, capsys, t):
+    # base_size^3 > MAX_VERTICES: refused before a base_size x base_size
+    # base is drawn and searched for cliques
     out = tmp_path / "g.hcol"
-    argv = ["generate", "gallai-witness", "--t", "5", "--seed", "0",
-            "--max-tries", "-1", "--out", str(out)]
+    argv = ["generate", "gallai-witness", "--t", t, "--seed", "0", "--out", str(out)]
     assert cli.main(argv) == 64
     assert not out.exists()
+    assert "exceeds MAX_VERTICES" in capsys.readouterr().err
 
 
 def test_extract_gallai_checks_its_witness_before_printing(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations, product
 
@@ -357,6 +358,20 @@ def test_verifiers_import_only_core():
         assert not any(forbidden in name.split(".") for name in imported)
 
 
+def test_package_has_no_assert_statements():
+    # runtime cross-checks must raise a real error: python -O strips asserts
+    import ast
+    from pathlib import Path
+
+    package = Path(verifiers.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_exhaustive_ramsey_tiny():
     assert verifiers.exhaustive_ramsey_check(2, 2, 3).holds
     r = verifiers.exhaustive_ramsey_check(2, 2, 2)
@@ -492,3 +507,61 @@ def test_exhaustive_ramsey_equals_brute_scan(t, q, n):
         assert result.counterexample is None
     else:
         assert result.counterexample.equals(counterexample)
+
+
+def test_fixed_pair_search_equals_slow_oracle_at_t4():
+    # t = 4 leaves two free body vertices beside the fixed pair, so the
+    # search's fail-first prune on partial bodies runs; a colouring has a
+    # hedgehog of colour c exactly when some edge of colour c, oriented as a
+    # body pair (x, y) and its spine z, extends to one; a sparse colour 1
+    # gives colourings where it does not
+    n, t = 10, 4
+    outcomes = set()
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        density = (0.5, 0.3, 0.2, 0.15)[seed % 4]
+        colours = (rng.random(math.comb(n, 3)) < density).astype(np.uint8)
+        col = core.CompleteColouring(n, 3, 2, colours)
+        for c in range(2):
+            cand = dict.fromkeys(combinations(range(n), 2), 0)
+            edges = [e for e in combinations(range(n), 3) if col.colour_of(e) == c]
+            for a, b, d in edges:
+                cand[(a, b)] |= 1 << d
+                cand[(a, d)] |= 1 << b
+                cand[(b, d)] |= 1 << a
+            found = any(
+                verifiers._first_hedgehog(cand, n, t, 3, (x, y), 1 << z) is not None
+                for a, b, d in edges
+                for x, y, z in ((a, b, d), (a, d, b), (b, d, a))
+            )
+            slow = has_monochromatic_hedgehog_slow(col, t, c)
+            assert found == slow, (seed, c)
+            outcomes.add(slow)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize(
+    "n, text, digest",
+    [
+        (
+            10,
+            "ramsey-check t=4 q=2 n=10: counterexample (72057594037927936 of "
+            "1329227995784915872903807060280344576 colourings checked)",
+            "8ad2cd5d07f60e460fd0bce08800930a7a3f57e7a321f06b6ed83bc4244542e5",
+        ),
+        (
+            11,
+            "ramsey-check t=4 q=2 n=11: counterexample (19342813113834066795298816 of "
+            "46768052394588893382517914646921056628989841375232 colourings checked)",
+            "d4109f2ebb7317d2f29ff817c6456ff01cd4880eb8e93c2b4880b6eb060d8eeb",
+        ),
+    ],
+)
+def test_exhaustive_ramsey_t4_is_pinned(n, text, digest):
+    # at t = 4 the decider's prune searches two free body vertices; the
+    # verdict, count and counterexample bytes were recorded before the
+    # decider and the oracle shared one body search
+    result = verifiers.exhaustive_ramsey_check(4, 2, n)
+    assert str(result) == text
+    body = core.colouring_to_bytes(result.counterexample)
+    assert hashlib.sha256(body).hexdigest() == digest
