@@ -348,66 +348,50 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _verify_problem(args) -> object | None:
+    """What a verify command found wrong, printed after "violation ", or
+    None when the input checks out."""
+    col = read_colouring(args.infile)
     if args.kind == "embedding":
-        col = read_colouring(args.infile)
         with open(args.cert) as fh:
             emb = HedgehogEmbedding.from_text(fh.read())
-        problem = verifiers.verify_embedding(emb, col)
-        if problem is not None:
-            sys.stdout.write(f"violation {problem}\n")
-            return EXIT_VIOLATION
-        sys.stdout.write("verified\n")
-        return EXIT_OK
+        return verifiers.verify_embedding(emb, col)
     if args.kind == "lift":
-        lifted = read_colouring(args.infile)
         base = read_colouring(args.base)
-        palette = (
-            _palette(args.palette)
-            if args.palette
-            else list(range(base.q))
-        )
-        problem = verifiers.verify_complement_lift(lifted, base, palette)
+        palette = _palette(args.palette) if args.palette else list(range(base.q))
+        problem = verifiers.verify_complement_lift(col, base, palette)
         if problem is not None:
-            sys.stdout.write(f"violation {problem}\n")
-            return EXIT_VIOLATION
+            return problem
         deficient = verifiers.every_clique_all_colours(base, args.t, base.q)
         if deficient is not None:
-            sys.stdout.write(f"violation base-not-scattered {deficient}\n")
-            return EXIT_VIOLATION
-        for colour in range(lifted.q):
-            emb = verifiers.has_monochromatic_hedgehog(lifted, args.t, colour)
+            return f"base-not-scattered {deficient}"
+        for colour in range(col.q):
+            emb = verifiers.has_monochromatic_hedgehog(col, args.t, colour)
             if emb is not None:
-                sys.stdout.write(f"violation monochromatic-hedgehog colour {colour}\n")
-                sys.stdout.write(emb.to_text())
-                return EXIT_VIOLATION
-        sys.stdout.write("verified\n")
-        return EXIT_OK
+                return f"monochromatic-hedgehog colour {colour}\n{emb.to_text()}"
+        return None
     if args.kind == "scattered":
-        col = read_colouring(args.infile)
         q = args.q if args.q is not None else col.q
         witness = verifiers.every_clique_all_colours(col, args.t, q)
-        if witness is not None:
-            sys.stdout.write("violation deficient-clique\n" + witness.to_text())
-            return EXIT_VIOLATION
-        sys.stdout.write("verified\n")
-        return EXIT_OK
+        return None if witness is None else "deficient-clique\n" + witness.to_text()
     if args.kind == "rainbow":
-        col = read_colouring(args.infile)
         triangle = verifiers.rainbow_triangle_free(col, _palette(args.palette))
-        if triangle is not None:
-            sys.stdout.write(f"violation rainbow-triangle {triangle}\n")
-            return EXIT_VIOLATION
+        return None if triangle is None else f"rainbow-triangle {triangle}"
+    witness = extractors.verify_f_witness(col, args.t)
+    if witness.valid:
+        return None
+    return "rainbow-triangle" if not witness.rainbow_free else "small-palette-clique"
+
+
+def _cmd_verify(args) -> int:
+    problem = _verify_problem(args)
+    if problem is None:
         sys.stdout.write("verified\n")
         return EXIT_OK
-    col = read_colouring(args.infile)
-    witness = extractors.verify_f_witness(col, args.t)
-    if not witness.valid:
-        reason = "rainbow-triangle" if not witness.rainbow_free else "small-palette-clique"
-        sys.stdout.write(f"violation {reason}\n")
-        return EXIT_VIOLATION
-    sys.stdout.write("verified\n")
-    return EXIT_OK
+    text = f"violation {problem}"
+    # a certificate after the first line brings its own final newline
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return EXIT_VIOLATION
 
 
 def _cmd_search(args) -> int:
@@ -440,8 +424,10 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _run_argv(argv: list[str]) -> int:
+def _run_argv(argv: list[str], in_batch: bool = False) -> int:
     args = _shared_parser().parse_args(argv)
+    if args.command == "batch" and in_batch:
+        raise _UsageError("a batch entry cannot run batch")
     handlers = {
         "generate": _cmd_generate,
         "lift": _cmd_lift,
@@ -451,9 +437,8 @@ def _run_argv(argv: list[str]) -> int:
         "verify": _cmd_verify,
         "search": _cmd_search,
         "f-oracle": _cmd_f_oracle,
+        "batch": _cmd_batch,
     }
-    if args.command == "batch":
-        return _cmd_batch(args)
     return handlers[args.command](args)
 
 
@@ -461,7 +446,8 @@ def _cmd_batch(args) -> int:
     """Run every manifest line as its own command; aggregate a table.
 
     Lines are shell-split argv lists; blank lines and # comments are
-    skipped.  Entries run one after another, in manifest order.
+    skipped.  Entries run one after another, in manifest order; an entry
+    that is itself a batch is a usage error, so no manifest recurses.
     """
     with open(args.manifest) as fh:
         lines = [
@@ -478,7 +464,7 @@ def _cmd_batch(args) -> int:
                 argv = shlex.split(line)
             except ValueError as exc:
                 raise _UsageError(f"bad manifest line: {exc}") from exc
-            code = _run_argv(argv)
+            code = _run_argv(argv, in_batch=True)
         except _MAPPED as exc:
             code = exit_code_for(exc)
         rows.append((line, code, time.perf_counter() - start))

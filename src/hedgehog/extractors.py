@@ -8,7 +8,9 @@ colours, the oracle for the threshold F(t) (the least n forcing every
 at most 3 colours), and the staged pipeline that turns a 3-colouring of the
 complete 3-uniform hypergraph into a verified monochromatic hedgehog.  The
 oracle's exhaustive decisions run on the core's first-use colouring search,
-and its witnesses are checked by the verifiers.
+one count of the obstructions through an edge serves that search's prune
+and the local search's bad edges and move scores, and its witnesses are
+checked by the verifiers.
 """
 
 from __future__ import annotations
@@ -310,10 +312,11 @@ def spencer_independent_set(
 
 
 def ceil_cuberoot(n: int) -> int:
-    s = max(1, round(n ** (1.0 / 3.0)))
+    """The least s >= 0 with s**3 >= n."""
+    s = round(n ** (1.0 / 3.0))
     while s**3 < n:
         s += 1
-    while s > 1 and (s - 1) ** 3 >= n:
+    while s > 0 and (s - 1) ** 3 >= n:
         s -= 1
     return s
 
@@ -386,6 +389,32 @@ def three_colour_clique_search(
 # the F(t) oracle
 
 
+def _obstructions(
+    mat, u: int, v: int, c: int, pool, t: int, first: bool = False
+) -> int:
+    """The obstructions an edge {u, v} of colour c meets with the vertices
+    of pool: each w closing a red/blue/green rainbow triangle with it, and
+    each (t-2)-subset closing a t-clique on at most 3 colours.  With first,
+    1 at the first one found.  Never reads mat[u][v], so c may be a colour
+    the edge does not have.  The one F(t) obstruction test of both
+    searches."""
+    count = 0
+    mu, mv = mat[u], mat[v]
+    bit = 1 << c
+    for w in pool:
+        # three colours whose bits make 0b111 are red, blue and green
+        if (1 << mu[w] | 1 << mv[w] | bit) == 7:
+            if first:
+                return 1
+            count += 1
+    for cen in clique_censuses(mat, u, v, pool, t):
+        if (cen | bit).bit_count() <= 3:
+            if first:
+                return 1
+            count += 1
+    return count
+
+
 def _search_f_witness_exhaustive(t: int, n: int, node_budget: int):
     """Decide whether a 4-colouring of K_n with no red/blue/green rainbow
     triangle and no t-clique on <= 3 colours exists, by a first-use search
@@ -403,13 +432,8 @@ def _search_f_witness_exhaustive(t: int, n: int, node_budget: int):
 
     def place(step: int, c: int) -> bool:
         a, b = pairs[step]
-        for x in range(a):
-            if {mat[x][a], mat[x][b], c} == {0, 1, 2}:
-                return False
-        bit = 1 << c
-        for cen in clique_censuses(mat, a, b, range(a), t):
-            if (cen | bit).bit_count() <= 3:
-                return False
+        if _obstructions(mat, a, b, c, range(a), t, first=True):
+            return False
         mat[a][b] = mat[b][a] = c
         return True
 
@@ -425,51 +449,36 @@ def _search_f_witness_exhaustive(t: int, n: int, node_budget: int):
     return "found", col
 
 
-def _violation_count_at(mat, n: int, t: int, u: int, v: int) -> int:
-    """Rainbow triangles plus bad t-cliques through the edge {u, v}."""
-    bad = 0
-    others = [w for w in range(n) if w not in (u, v)]
-    for w in others:
-        if {mat[u][v], mat[u][w], mat[v][w]} == {0, 1, 2}:
-            bad += 1
-    own = 1 << mat[u][v]
-    for cen in clique_censuses(mat, u, v, others, t):
-        if (cen | own).bit_count() <= 3:
-            bad += 1
-    return bad
-
-
 def _search_f_witness_local(
     t: int, n: int, seed: int, restarts: int = 8, steps: int = 4000
 ):
     """Seeded local search for an F(t) > n witness: greedily recolour edges
     of violated structures; success is certified by the exact checks."""
     rng = random.Random(seed)
+    edges = [
+        (u, v, [w for w in range(n) if w not in (u, v)])
+        for u, v in combinations(range(n), 2)
+    ]
     for _ in range(restarts):
         mat = random_matrix(rng, n, range(4))
-
-        def total_violations() -> list[tuple[int, int]]:
-            bad_edges = []
-            for u, v in combinations(range(n), 2):
-                if _violation_count_at(mat, n, t, u, v):
-                    bad_edges.append((u, v))
-            return bad_edges
-
         for _ in range(steps):
-            bad = total_violations()
+            bad = [
+                (u, v, others)
+                for u, v, others in edges
+                if _obstructions(mat, u, v, mat[u][v], others, t, first=True)
+            ]
             if not bad:
                 break
-            u, v = bad[rng.randrange(len(bad))]
+            u, v, others = bad[rng.randrange(len(bad))]
             if rng.random() < 0.1:
                 mat[u][v] = mat[v][u] = rng.randrange(4)
                 continue
             base = mat[u][v]
-            best_c, best_score = base, _violation_count_at(mat, n, t, u, v)
+            best_c, best_score = base, _obstructions(mat, u, v, base, others, t)
             order = [c for c in range(4) if c != base]
             rng.shuffle(order)
             for c in order:
-                mat[u][v] = mat[v][u] = c
-                score = _violation_count_at(mat, n, t, u, v)
+                score = _obstructions(mat, u, v, c, others, t)
                 if score < best_score:
                     best_c, best_score = c, score
             mat[u][v] = mat[v][u] = best_c

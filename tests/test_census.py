@@ -1,6 +1,7 @@
-"""The clique-census kernel and its three callers: the scattered move score,
-the F local search's violation count and the exhaustive F search's t-clique
-prune, pinned to the loops they replaced and to recorded trajectories."""
+"""The clique-census kernel and its callers: the scattered move score and
+the F(t) obstruction count, which scores the F local search's moves, lists
+its bad edges and prunes the exhaustive F search, pinned to the loops they
+replaced and to recorded trajectories."""
 
 import hashlib
 from itertools import combinations
@@ -83,26 +84,35 @@ def test_move_delta_matches_reference():
 
 
 def test_violation_count_matches_reference():
+    # the full count over all other vertices, as the local search scores a
+    # move; the edge itself holds another colour, since the count never reads it
     for n, t, _, mat in _instances(92, (4, 5)):
         for u, v in combinations(range(n), 2):
+            others = [w for w in range(n) if w not in (u, v)]
             for c in range(4):
                 mat[u][v] = mat[v][u] = c
                 expect = violation_count_at_reference(mat, n, t, u, v)
-                got = extractors._violation_count_at(mat, n, t, u, v)
+                mat[u][v] = mat[v][u] = (c + 1) % 4
+                got = extractors._obstructions(mat, u, v, c, others, t)
                 assert got == expect, (n, t, u, v, c)
+                first = extractors._obstructions(mat, u, v, c, others, t, first=True)
+                assert first == min(expect, 1), (n, t, u, v, c)
 
 
 def test_f_clique_prune_matches_reference():
-    # the t-clique prune of the exhaustive F search's place; the search as a
-    # whole is pinned to the reference backtracker by its node counts
+    # the whole predicate of the exhaustive F search's place: a rainbow
+    # triangle or a t-clique on at most 3 colours through {a, b} below a; the
+    # search as a whole is pinned to the reference backtracker by its node
+    # counts
     for n, t, _, mat in _instances(93, (4, 5)):
         for a, b in combinations(range(n), 2):
             for c in range(4):
-                got = any(
-                    (cen | 1 << c).bit_count() <= 3
-                    for cen in extractors.clique_censuses(mat, a, b, range(a), t)
-                )
-                assert got == f_clique_prune_reference(mat, t, a, b, c), (n, t, a, b, c)
+                rainbow = any({mat[w][a], mat[w][b], c} == {0, 1, 2} for w in range(a))
+                expect = rainbow or f_clique_prune_reference(mat, t, a, b, c)
+                got = extractors._obstructions(mat, a, b, c, range(a), t, first=True)
+                assert got == int(expect), (n, t, a, b, c)
+                count = extractors._obstructions(mat, a, b, c, range(a), t)
+                assert got == min(count, 1), (n, t, a, b, c)
 
 
 # SHA-256 of the HCOL file followed by the search report, recorded before the

@@ -607,3 +607,53 @@ def test_shared_parser_in_a_mixed_batch(blue_heavy, tmp_path, capsys, monkeypatc
     assert [ln for ln in lines if ln.startswith("colour ")] == ["colour 1", "colour 0", "colour 0"]
     statuses = [ln.split()[-1] for ln in lines if ln.startswith(("find", "search", "verify"))]
     assert statuses == ["PASS", "PASS", "FAIL(64)", "FAIL(2)", "FAIL(64)", "PASS"]
+
+
+def test_batch_entry_running_batch_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"batch --manifest {manifest}\n")
+    assert cli.main(["batch", "--manifest", str(manifest)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-2] == "FAIL(64)"
+    assert out[2:] == ["1 entries, 1 failed"]
+
+
+def test_extract_gallai_on_the_empty_colouring(tmp_path, capsys):
+    path = tmp_path / "e.hcol"
+    core.write_colouring(core.CompleteColouring(0, 2, 3, np.zeros(0, dtype=np.uint8)), path)
+    assert cli.main(["extract", "gallai", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "CLIQUE v1\nvertices \ncolours \n"
+
+
+def test_verify_violation_texts_are_pinned(tmp_path, capsys):
+    def write(name, n, k, q, colours):
+        path = tmp_path / name
+        core.write_colouring(core.CompleteColouring(n, k, q, np.array(colours, dtype=np.uint8)), path)
+        return str(path)
+
+    one, two = write("b1.hcol", 4, 2, 1, [0] * 6), write("b2.hcol", 4, 2, 2, [0] * 6)
+    lift, bad_lift = write("l1.hcol", 4, 3, 2, [1] * 4), write("l0.hcol", 4, 3, 2, [1, 0, 1, 1])
+    rainbow, yellow = write("r.hcol", 3, 2, 4, [0, 1, 2]), write("y.hcol", 4, 2, 4, [3] * 6)
+    cert = tmp_path / "e.cert"
+    cert.write_text("HEDGEHOG v1\nk 3\nt 2\ncolour 0\nbody 0 1\nspine 0 1 -> 2\n")
+    cases = [
+        (["embedding", "--in", lift, "--cert", str(cert)],
+         "colour: edge (0, 1, 2) has colour 1, expected 0\n"),
+        (["lift", "--in", bad_lift, "--base", two, "--t", "2"],
+         "lift: triple (0, 1, 3) coloured 0, expected 1\n"),
+        (["lift", "--in", lift, "--base", two, "--t", "2"],
+         "base-not-scattered CliqueWitness(vertices=(0, 1), colours=frozenset({0}))\n"),
+        (["lift", "--in", lift, "--base", one, "--t", "2", "--palette", "0,1"],
+         "monochromatic-hedgehog colour 1\nHEDGEHOG v1\nk 3\nt 2\ncolour 1\n"
+         "body 0 1\nspine 0 1 -> 2\n"),
+        (["scattered", "--in", two, "--t", "3"],
+         "deficient-clique\nCLIQUE v1\nvertices 0 1 2\ncolours 0\n"),
+        (["rainbow", "--in", rainbow], "rainbow-triangle (0, 1, 2)\n"),
+        (["f-witness", "--in", rainbow, "--t", "4"], "rainbow-triangle\n"),
+        (["f-witness", "--in", yellow, "--t", "3"], "small-palette-clique\n"),
+    ]
+    for argv, text in cases:
+        assert cli.main(["verify"] + argv) == 2, argv
+        assert capsys.readouterr().out == "violation " + text, argv
+    assert cli.main(["verify", "scattered", "--in", two, "--t", "2", "-q", "1"]) == 0
+    assert capsys.readouterr().out == "verified\n"

@@ -142,6 +142,7 @@ def test_gallai_clique_on_lex_product_confirmed_by_networkx():
 
 
 def test_ceil_cuberoot_exact():
+    assert extractors.ceil_cuberoot(0) == 0
     assert extractors.ceil_cuberoot(1) == 1
     assert extractors.ceil_cuberoot(8) == 2
     assert extractors.ceil_cuberoot(9) == 3

@@ -2,11 +2,14 @@
 pipeline, the clique searches, the Gallai lower-bound witness and the
 scattered search in both modes.  Each test hashes every output of a fixed
 corpus; the digests were recorded before the searches shared one colour
-matrix and one colour-class adjacency pass."""
+matrix and one colour-class adjacency pass.  The F(4) oracle's bytes are
+also checked against the digest the benchmark compares them with."""
 
 import hashlib
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -165,3 +168,15 @@ def test_f_oracle_outputs_are_pinned():
     assert digest(f_oracle_outputs()) == (
         "ae3aa4014537a7a816c6cd913c52dc6eb35e7f5e35da00f9e5677032f484c06a"
     )
+
+
+def test_benchmark_f_oracle_bytes_match_its_recorded_digest():
+    # the benchmark's main-size search round compares these bytes with the
+    # digest it recorded; this reads that file and leaves it as it is
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+    want = json.loads(path.read_text())["search"]["main"]["exact"]
+    res = extractors.f_oracle(4, 8, "exhaustive")
+    data = str(res).encode() + b"".join(
+        core.colouring_to_bytes(res.witnesses[n]) for n in sorted(res.witnesses)
+    )
+    assert hashlib.sha256(data).hexdigest() == want
