@@ -7,8 +7,9 @@ are plain text so they can be diffed and checked into fixtures.
 
 Exit codes: 0 success / verified / holds; 1 search failed; 2 violation or
 counterexample (certificate printed); 3 instance refused; 64 bad usage or
-unparseable input.  An exception maps to its code through one table, the
-same for a direct call and for a batch entry:
+unparseable input.  An exception maps to its code, and to the prefix of its
+one stderr line, through one table, the same for a direct call and for a
+batch entry:
 
     bad flags, InvalidArgument, PreconditionViolated, OSError   64
     RefusedInstance                                               3
@@ -72,6 +73,14 @@ def _exit_row(exc: BaseException) -> tuple[int, str]:
 def exit_code_for(exc: BaseException) -> int:
     """The exit code of a usage, I/O or toolkit error."""
     return _exit_row(exc)[0]
+
+
+def _report_error(exc: BaseException) -> int:
+    """Write the error's one `prefix: message` line to stderr; return its
+    exit code.  A direct command and a batch entry both report through it."""
+    code, prefix = _exit_row(exc)
+    sys.stderr.write(f"{prefix}: {exc}\n")
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -447,7 +456,8 @@ def _cmd_batch(args) -> int:
 
     Lines are shell-split argv lists; blank lines and # comments are
     skipped.  Entries run one after another, in manifest order; an entry
-    that is itself a batch is a usage error, so no manifest recurses.
+    that is itself a batch is a usage error, so no manifest recurses.  A
+    failing entry writes the stderr line its direct run would.
     """
     with open(args.manifest) as fh:
         lines = [
@@ -466,7 +476,7 @@ def _cmd_batch(args) -> int:
                 raise _UsageError(f"bad manifest line: {exc}") from exc
             code = _run_argv(argv, in_batch=True)
         except _MAPPED as exc:
-            code = exit_code_for(exc)
+            code = _report_error(exc)
         rows.append((line, code, time.perf_counter() - start))
 
     width = max((len(r[0]) for r in rows), default=7)
@@ -487,9 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run_argv(argv)
     except _MAPPED as exc:
-        code, prefix = _exit_row(exc)
-        sys.stderr.write(f"{prefix}: {exc}\n")
-        return code
+        return _report_error(exc)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +28,7 @@ from .core import (
     MAX_VERTICES,
     PreconditionViolated,
     RED,
+    RefusedInstance,
     SearchReport,
     ToolkitError,
     YELLOW,
@@ -36,7 +38,9 @@ from .core import (
     iter_slabs,
     matrix_colouring,
     pair_arrays,
+    pair_rank,
     random_matrix,
+    unrank_subset,
 )
 
 
@@ -66,18 +70,101 @@ class ScatteredColouringSpec:
     max_steps: int = 20000
 
 
-def deficient_clique(mat, t: int, q: int) -> tuple[int, list[int]] | None:
-    """A t-clique of the symmetric colour matrix mat missing some colour, as
-    (missing colour, clique), or None.  Scans colours in index order and
-    cliques in lexicographic order, so the outcome is deterministic."""
-    classes = extractors.colour_adjacency(mat, q)
-    for colour in range(q):
-        others = [c for c in range(q) if c != colour]
-        adj = extractors.union_adjacency(classes, others)
-        clique = extractors.lex_first_clique([adj], len(mat), t)
-        if clique is not None:
-            return colour, clique
-    return None
+# the most pair-index entries, C(n, t) * C(t, 2), a scattered search's
+# count table may hold; larger instances are refused before the first draw
+SCATTERED_TABLE_LIMIT = 1 << 24
+
+
+@lru_cache(maxsize=4)
+def _pair_rows(n: int, t: int) -> np.ndarray:
+    """Row p lists, ascending, the lexicographic ranks of the t-subsets of
+    [n] that hold the pair of colex rank p: C(n - 2, t - 2) per pair.
+
+    The sorted t-subset s_0 < ... < s_{t-1} has lexicographic rank
+    C(n, t) - 1 - sum_j C(n - 1 - s_j, t - j).  Through the pair {a, b} it
+    is a rest of t - 2 other vertices with a and b slotted in: the rest's
+    i-th vertex, x_i by position among the others, is x_i + d at place
+    i + d, where d counts which of a and b lie below it.  So every term is
+    read off prefix sums over the rest, per value of d, in one gather per
+    pair and rest.
+    """
+    if t < 2:  # no t-subset holds a pair
+        return np.empty((math.comb(n, 2), 0), dtype=np.int32)
+    top = math.comb(n, t) - 1
+    # C(m, k) clipped at top: a rank's terms sum to at most top, so the
+    # clip only touches entries no rank reads
+    binom = np.array(
+        [[min(math.comb(m, k), top) for k in range(t + 1)] for m in range(n)],
+        dtype=np.int64,
+    ).reshape(n, t + 1)
+    rests = list(combinations(range(n - 2), t - 2))
+    x = np.array(rests, dtype=np.int64).reshape(len(rests), t - 2)
+    place = np.arange(t - 2)
+    # prefix[d][:, i]: the terms of the rest's first i vertices when d of a
+    # and b lie below each
+    prefix = [
+        np.cumsum(np.pad(binom[n - 1 - x - d, t - place - d], ((0, 0), (1, 0))), axis=1)
+        for d in range(3)
+    ]
+    split = prefix[0] - prefix[1]
+    # below[:, v]: the rest vertices under v, so a sits at place below[:, a]
+    # and b at place below[:, b - 1] + 1
+    below = (x[:, :, None] < np.arange(n)).sum(axis=1)
+    k = np.arange(len(rests))
+    rows = np.empty((math.comb(n, 2), len(rests)), dtype=np.int32)
+    for b in range(1, n):
+        ka, kb = below[:, :b], below[:, b - 1]  # every pair {a, b} below b at once
+        b_part = prefix[1][k, kb] + prefix[2][:, -1] - prefix[2][k, kb]
+        b_part += binom[n - 1 - b, t - 1 - kb]
+        a_part = np.take_along_axis(split, ka, axis=1) + binom[n - 1 - np.arange(b), t - ka]
+        start = math.comb(b, 2)
+        rows[start : start + b] = (top - b_part[:, None] - a_part).T
+    rows.setflags(write=False)  # one cached layout serves every table
+    return rows
+
+
+class _CountTable:
+    """How often each colour shows on the C(t, 2) edges of every t-subset of
+    [n] under a colour matrix, one row per t-subset in lexicographic order.
+    A recolour updates only the C(n - 2, t - 2) rows through its edge."""
+
+    def __init__(self, mat, t: int, q: int):
+        self.n, self.t = len(mat), t
+        self.rows = _pair_rows(self.n, t)
+        colours = matrix_colouring(mat, q).colours
+        self.counts = np.zeros((math.comb(self.n, t), q), dtype=np.int32)
+        for c in range(q):
+            self.counts[:, c] = np.bincount(
+                self.rows[colours == c].ravel(), minlength=len(self.counts)
+            )
+
+    def deficient(self) -> tuple[int, list[int]] | None:
+        """The first t-clique missing a colour, as (missing colour, clique):
+        colours in index order, cliques in lexicographic order; or None."""
+        hits = np.flatnonzero((self.counts == 0).T)
+        if not len(hits):
+            return None
+        colour, row = divmod(int(hits[0]), len(self.counts))
+        # lexicographic rank r is colex rank C(n, t) - 1 - r of the reflection
+        reflected = unrank_subset(len(self.counts) - 1 - row, self.n, self.t)
+        return colour, sorted(self.n - 1 - x for x in reflected)
+
+    def deltas(self, mat, pairs, colour: int) -> np.ndarray:
+        """For each pair {u, v}, u < v, the deficient t-cliques created minus
+        those removed if that edge took the colour: cliques where its old
+        colour shows only on it become deficient, cliques missing the colour
+        stop being so."""
+        through = self.rows[[pair_rank(u, v) for u, v in pairs]]
+        old = np.array([mat[u][v] for u, v in pairs]).reshape(-1, 1)
+        created = (self.counts[through, old] == 1).sum(axis=1)
+        return created - (self.counts[through, colour] == 0).sum(axis=1)
+
+    def recolour(self, mat, u: int, v: int, colour: int) -> None:
+        """Give the edge {u, v}, u < v, the colour in mat and in the counts."""
+        through = self.rows[pair_rank(u, v)]
+        self.counts[through, mat[u][v]] -= 1
+        self.counts[through, colour] += 1
+        mat[u][v] = mat[v][u] = colour
 
 
 def _block_seed(rng: random.Random, n: int, t: int, q: int) -> list[list[int]]:
@@ -104,21 +191,6 @@ def _block_seed(rng: random.Random, n: int, t: int, q: int) -> list[list[int]]:
     return mat
 
 
-def _move_delta(mat, n: int, t: int, u: int, v: int, new_colour: int) -> int:
-    """Deficiencies created minus removed among t-cliques through {u, v} if
-    that edge is recoloured: cliques where the old colour appeared only here
-    become deficient, cliques missing the new colour stop being so."""
-    old = mat[u][v]
-    others = [w for w in range(n) if w not in (u, v)]
-    delta = 0
-    for cen in extractors.clique_censuses(mat, u, v, others, t):
-        if not cen >> old & 1:
-            delta += 1
-        if new_colour != old and not cen >> new_colour & 1:
-            delta -= 1
-    return delta
-
-
 def find_scattered_colouring(
     spec: ScatteredColouringSpec,
 ) -> tuple[CompleteColouring | None, SearchReport]:
@@ -128,6 +200,9 @@ def find_scattered_colouring(
     to the missing colour (preferring edges whose colour is plentiful inside
     the clique), with seeded restarts.  Exhaustion is an outcome, not an
     error; any returned colouring has passed the independent exact check.
+    Both modes read the cliques off a colour-count table; an instance whose
+    table would exceed SCATTERED_TABLE_LIMIT entries is refused before the
+    first draw.
     """
     check_colouring_shape(spec.n, 2, spec.q)
     if math.comb(spec.t, 2) < spec.q:
@@ -144,6 +219,12 @@ def find_scattered_colouring(
             "must be non-negative"
         )
     n, t, q = spec.n, spec.t, spec.q
+    entries = math.comb(n, t) * math.comb(t, 2)
+    if entries > SCATTERED_TABLE_LIMIT:
+        raise RefusedInstance(
+            f"a scattered search at n={n}, t={t} needs {entries} count-table "
+            f"entries, above the limit {SCATTERED_TABLE_LIMIT}"
+        )
     rng = random.Random(spec.seed)
     report = SearchReport(
         operation="find-scattered-colouring",
@@ -170,7 +251,7 @@ def find_scattered_colouring(
         report.tries = attempt + 1
         if spec.search_mode == "rejection":
             mat = random_matrix(rng, n, range(q))
-            if deficient_clique(mat, t, q) is None:
+            if _CountTable(mat, t, q).deficient() is None:
                 return finish(mat), report
             continue
         # alternate structured and uniform restarts
@@ -178,27 +259,23 @@ def find_scattered_colouring(
             mat = _block_seed(rng, n, t, q)
         else:
             mat = random_matrix(rng, n, range(q))
+        table = _CountTable(mat, t, q)
         for _ in range(spec.max_steps):
             report.steps += 1
-            bad = deficient_clique(mat, t, q)
+            bad = table.deficient()
             if bad is None:
                 return finish(mat), report
             missing, clique = bad
-            inside = list(combinations(sorted(clique), 2))
+            inside = list(combinations(clique, 2))
             if rng.random() < 0.08:
                 u, v = inside[rng.randrange(len(inside))]
-                mat[u][v] = mat[v][u] = missing
+                table.recolour(mat, u, v, missing)
                 continue
-            best_pair = None
-            best_delta = None
             order = inside.copy()
             rng.shuffle(order)
-            for u, v in order:
-                delta = _move_delta(mat, n, t, u, v, missing)
-                if best_delta is None or delta < best_delta:
-                    best_pair, best_delta = (u, v), delta
-            u, v = best_pair
-            mat[u][v] = mat[v][u] = missing
+            # the first least delta, as a scan keeping strict improvements
+            u, v = order[int(np.argmin(table.deltas(mat, order, missing)))]
+            table.recolour(mat, u, v, missing)
         # restart with a fresh state
     return None, report
 

@@ -145,7 +145,7 @@ def clique_censuses(mat, u: int, v: int, pool, size: int):
     """For each (size-2)-subset rest of pool, in lexicographic order, the
     bitmask of the colours on the edges of rest + {u, v} other than {u, v}
     itself; mat is a symmetric n x n nested list of edge colours.  The one
-    t-clique loop of the scattered and F(t) searches."""
+    t-clique loop of the F(t) searches."""
     for rest in combinations(pool, size - 2):
         census = 0
         for x in rest:

@@ -1,9 +1,11 @@
-"""The clique-census kernel and its callers: the scattered move score and
-the F(t) obstruction count, which scores the F local search's moves, lists
-its bad edges and prunes the exhaustive F search, pinned to the loops they
-replaced and to recorded trajectories."""
+"""The clique-census kernel and its caller, the F(t) obstruction count,
+which scores the F local search's moves, lists its bad edges and prunes the
+exhaustive F search; and the scattered search's colour-count table, whose
+move delta and deficient-clique lookup replaced a census scan.  Each is
+pinned to the loops it replaced and to recorded trajectories."""
 
 import hashlib
+import math
 from itertools import combinations
 
 import numpy as np
@@ -72,15 +74,45 @@ def _instances(seed, q_range):
                 yield n, t, q, random_matrix(rng, n, q)
 
 
+def test_pair_rows_list_the_t_sets_through_each_pair():
+    for n in range(11):
+        for t in range(1, 7):
+            rows = constructions._pair_rows(n, t)
+            subsets = list(combinations(range(n), t))
+            assert len(rows) == math.comb(n, 2), (n, t)
+            for u, v in combinations(range(n), 2):
+                expect = [i for i, sub in enumerate(subsets) if u in sub and v in sub]
+                assert rows[core.pair_rank(u, v)].tolist() == expect, (n, t, u, v)
+
+
 def test_move_delta_matches_reference():
     for n, t, q, mat in _instances(91, (1, 5)):
         cols = [mat[a][b] for b in range(n) for a in range(b)]
         rank_of_pair = {p: core.pair_rank(*p) for p in combinations(range(n), 2)}
-        for u, v in combinations(range(n), 2):
-            for new in range(q):  # includes the edge's own colour
-                expect = move_delta_reference(cols, rank_of_pair, n, t, u, v, new)
-                got = constructions._move_delta(mat, n, t, u, v, new)
-                assert got == expect, (n, t, u, v, new)
+        table = constructions._CountTable(mat, t, q)
+        pairs = list(combinations(range(n), 2))
+        for new in range(q):  # includes each edge's own colour
+            got = table.deltas(mat, pairs, new).tolist() if pairs else []
+            expect = [
+                move_delta_reference(cols, rank_of_pair, n, t, u, v, new) for u, v in pairs
+            ]
+            assert got == expect, (n, t, new)
+
+
+def test_count_table_updates_match_a_fresh_build():
+    rng = np.random.default_rng(94)
+    for _ in range(40):
+        n = int(rng.integers(2, 11))
+        t = int(rng.integers(2, min(n, 6) + 1))
+        q = int(rng.integers(1, 5))
+        mat = random_matrix(rng, n, q)
+        table = constructions._CountTable(mat, t, q)
+        for _ in range(30):
+            u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+            table.recolour(mat, u, v, int(rng.integers(0, q)))  # may keep the colour
+            assert mat[u][v] == mat[v][u]
+        fresh = constructions._CountTable(mat, t, q)
+        assert np.array_equal(table.counts, fresh.counts), (n, t, q)
 
 
 def test_violation_count_matches_reference():
@@ -115,11 +147,22 @@ def test_f_clique_prune_matches_reference():
                 assert got == min(count, 1), (n, t, a, b, c)
 
 
-# SHA-256 of the HCOL file followed by the search report, recorded before the
-# searches shared the census kernel
+# SHA-256 of the HCOL file (none when the search is exhausted) followed by
+# the search report, keyed by (n, t, seed, max_tries, max_steps) at q = 4.
+# The default-budget cases were recorded before the searches shared the
+# census kernel, the others before the scattered search kept a count table:
+# the benchmark's search size, and a 20-step budget that reaches both
+# restart kinds and an exhausted search
 SCATTERED_DIGESTS = {
-    (9, 4, 2): "299e0c070de7837bc6da963405be37c33fd6ed2d003c6dc03ecfd2ab240e981c",
-    (13, 5, 0): "a2ebc4529fbe57257e3be134e7395a5c6b6034e67ad0832dc0f46ef6cbdf2eca",
+    (9, 4, 2, 20, 20000): "299e0c070de7837bc6da963405be37c33fd6ed2d003c6dc03ecfd2ab240e981c",
+    (13, 5, 0, 20, 20000): "a2ebc4529fbe57257e3be134e7395a5c6b6034e67ad0832dc0f46ef6cbdf2eca",
+    (12, 5, 1, 8, 4000): "b896f2b6d2c1fbe1f305232c2d8a4d7a0237e031bf29a8360616b34d478f27fc",
+    (12, 5, 2, 8, 4000): "4da6b41e06041ceca26f3071d950f68b393b4c940e184519b6764643898c2d86",
+    (12, 5, 3, 8, 4000): "19375760b7a19e4dae39c003936002ad9cca0322845a305ea290d94183dee702",
+    (12, 5, 12, 8, 4000): "05244400c427fcc3a5a9b71ed27fc3d62c638d7f3fca8d370c4a7eb1a47ccc4b",
+    (12, 5, 0, 4, 20): "f052581f8df58e6273e05b3cbfc8e7cb02aebab468985f85ecbbd23c7ac53f12",
+    (12, 5, 6, 4, 20): "68ebb94b7b19b4ba2fa950b8bf310a1f87a7007b166e4c47b6d234e390a8c978",
+    (12, 5, 10, 4, 20): "cc9889b46064221aa3b1133495728cebd79c73c8eb59b3c3896dd844bcace452",
 }
 # SHA-256 of the HCOL bytes of _search_f_witness_local(4, n, seed=5,
 # restarts=6, steps=3000), or of b"none"
@@ -130,14 +173,16 @@ F_LOCAL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n,t,seed", sorted(SCATTERED_DIGESTS))
-def test_scattered_trajectory_is_pinned(tmp_path, n, t, seed):
+@pytest.mark.parametrize("n,t,seed,tries,steps", sorted(SCATTERED_DIGESTS))
+def test_scattered_trajectory_is_pinned(tmp_path, n, t, seed, tries, steps):
     out, rep = tmp_path / "s.hcol", tmp_path / "r.txt"
     argv = ["generate", "scattered", "-n", str(n), "--t", str(t), "-q", "4",
-            "--seed", str(seed), "--out", str(out), "--report", str(rep)]
-    assert cli.main(argv) == 0
-    digest = hashlib.sha256(out.read_bytes() + rep.read_bytes()).hexdigest()
-    assert digest == SCATTERED_DIGESTS[(n, t, seed)]
+            "--seed", str(seed), "--max-tries", str(tries), "--max-steps", str(steps),
+            "--out", str(out), "--report", str(rep)]
+    code = cli.main(argv)
+    assert code == (0 if out.exists() else 1)
+    data = (out.read_bytes() if out.exists() else b"") + rep.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SCATTERED_DIGESTS[(n, t, seed, tries, steps)]
 
 
 @pytest.mark.parametrize("n", sorted(F_LOCAL_DIGESTS))

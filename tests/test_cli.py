@@ -433,6 +433,18 @@ def test_scattered_negative_max_tries_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_scattered_oversized_table_is_refused(tmp_path, capsys):
+    out = tmp_path / "s.hcol"
+    argv = ["generate", "scattered", "-n", "200", "--t", "6", "-q", "4", "--seed", "0",
+            "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "refused: a scattered search at n=200, t=6 needs 1236129394500 count-table "
+        "entries, above the limit 16777216\n"
+    )
+
+
 @pytest.mark.parametrize(
     "n,t,q", [(6, 3, 0), (6, 3, -2), (26, 25, 300)], ids=["q0", "q-2", "q300"]
 )
@@ -602,11 +614,39 @@ def test_shared_parser_in_a_mixed_batch(blue_heavy, tmp_path, capsys, monkeypatc
     (code, out, err), = _shared_and_fresh(
         [["batch", "--manifest", str(manifest)]], capsys, monkeypatch
     )
-    assert code == 1 and err == ""
+    assert code == 1 and err == (
+        "usage error: unrecognized arguments: --bogus\n"
+        "usage error: bad manifest line: No closing quotation\n"
+    )
     lines = out.splitlines()
     assert [ln for ln in lines if ln.startswith("colour ")] == ["colour 1", "colour 0", "colour 0"]
     statuses = [ln.split()[-1] for ln in lines if ln.startswith(("find", "search", "verify"))]
     assert statuses == ["PASS", "PASS", "FAIL(64)", "FAIL(2)", "FAIL(64)", "PASS"]
+
+
+def test_batch_prints_each_failing_entry_reason(tmp_path, capsys):
+    # the same stderr line a direct run prints, one per failing entry; an
+    # entry that returns its code (the counterexample) prints none
+    entries = [
+        "search exhaustive --bogus",
+        f"verify embedding --in {tmp_path / 'absent.hcol'} --cert x",
+        "search exhaustive --t 2 -q 2 -n 2",
+    ]
+    direct = ""
+    for line in entries:
+        cli.main(shlex.split(line))
+        direct += capsys.readouterr().err
+    assert direct == (
+        "usage error: the following arguments are required: --t, -q, -n\n"
+        f"io error: [Errno 2] No such file or directory: '{tmp_path / 'absent.hcol'}'\n"
+    )
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("\n".join(entries) + "\n")
+    assert cli.main(["batch", "--manifest", str(manifest)]) == 1
+    out, err = capsys.readouterr()
+    assert err == direct
+    rows = [ln for ln in out.splitlines() if ln.startswith(tuple(entries))]
+    assert [row.split()[-2] for row in rows] == ["FAIL(64)", "FAIL(64)", "FAIL(2)"]
 
 
 def test_batch_entry_running_batch_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -107,8 +108,42 @@ def test_deficient_clique_is_colour_major_lex_first():
                 expect = (colour, list(clique))
                 break
         found += expect is not None and expect[0] > 0
-        assert constructions.deficient_clique(mat, t, q) == expect, (n, q, t)
+        assert constructions._CountTable(mat, t, q).deficient() == expect, (n, q, t)
     assert found > 0  # some answers come from a colour after the first
+
+
+def test_scattered_search_refuses_an_oversized_table_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a colouring")
+
+    monkeypatch.setattr(constructions, "random_matrix", no_draw)
+    monkeypatch.setattr(constructions, "_block_seed", no_draw)
+    for n, t, mode in ((48, 5, "local-search"), (34, 6, "rejection"), (200, 6, "local-search")):
+        spec = constructions.ScatteredColouringSpec(n=n, t=t, q=4, seed=0, search_mode=mode)
+        with pytest.raises(core.RefusedInstance, match="above the limit 16777216"):
+            constructions.find_scattered_colouring(spec)
+
+
+def test_scattered_search_admits_the_largest_tables():
+    # the largest n under the limit at t = 5 and t = 6: the search is not
+    # refused (no tries, so no draw), and the table builds with every
+    # t-set's counts summing to its C(t, 2) edges
+    try:
+        for n, t in ((47, 5), (33, 6)):
+            assert math.comb(n + 1, t) * math.comb(t, 2) > constructions.SCATTERED_TABLE_LIMIT
+            spec = constructions.ScatteredColouringSpec(n=n, t=t, q=4, seed=0, max_tries=0)
+            col, report = constructions.find_scattered_colouring(spec)
+            assert col is None and report.tries == 0
+            mat = core.random_matrix(random.Random(n), n, range(4))
+            table = constructions._CountTable(mat, t, 4)
+            assert table.counts.shape == (math.comb(n, t), 4)
+            assert (table.counts.sum(axis=1) == math.comb(t, 2)).all()
+            # the first and last t-sets in lexicographic order
+            for row, sub in ((0, range(t)), (-1, range(n - t, n))):
+                edges = [mat[u][v] for u, v in combinations(sub, 2)]
+                assert table.counts[row].tolist() == [edges.count(c) for c in range(4)]
+    finally:
+        constructions._pair_rows.cache_clear()
 
 
 def test_complement_lift_examples():
