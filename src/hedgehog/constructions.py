@@ -384,7 +384,7 @@ def quad_set_lift(triples: CompleteColouring) -> CompleteColouring:
     shown = np.left_shift(1, triples.colours, dtype=np.uint8)
     # for every triple abc, the colex ranks of its pairs ab, ac and bc: in
     # the slab of a top d > c they index the triples abd, acd and bcd
-    pair_ranks = np.empty((3, math.comb(n, 3)), dtype=np.int32)
+    pair_ranks = np.empty((3, math.comb(n, 3)), dtype=np.intp)
     for top, start, (a, b) in iter_slabs(n, 3):
         m = len(a)
         pair_ranks[:, start : start + m] = (np.arange(m), m + a, m + b)

@@ -136,12 +136,14 @@ def triple_rank(a: int, b: int, c: int) -> int:
 
 @lru_cache(maxsize=16)
 def pair_arrays(n: int):
-    """(a, b) arrays over all 2-subsets of [n] in colex rank order."""
+    """(a, b) arrays over all 2-subsets of [n] in colex rank order.
+
+    Both are read-only np.intp arrays: they index every slab gather, and
+    numpy casts an index array of any other type on each use."""
     if n > MAX_VERTICES:
         raise InvalidArgument(f"n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
-    b = np.repeat(np.arange(n, dtype=np.int32), np.arange(n))
-    a = np.arange(len(b), dtype=np.int64) - binomial_column(2)[b]
-    a = a.astype(np.int32)
+    b = np.repeat(np.arange(n, dtype=np.intp), np.arange(n))
+    a = np.arange(len(b), dtype=np.intp) - binomial_column(2)[b]
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b
@@ -152,7 +154,8 @@ def iter_slabs(n: int, k: int):
 
     The k-subsets with top vertex `top` have colex ranks start + i for
     i < C(top, k-1); subset i is lower[0][i] < ... < lower[k-2][i] < top.
-    `lower` holds prefix views of one set of int32 vertex arrays, so a slab
+    `lower` holds read-only prefix views of one set of np.intp vertex
+    arrays (numpy casts any other index type on every gather), so a slab
     costs no allocation: for k=3 the arrays of pair_arrays(n), for k=4 the
     triple arrays of [n-1], built once per call.
     """
@@ -161,10 +164,14 @@ def iter_slabs(n: int, k: int):
     elif k == 4:
         # the triples of [n-1]: top c once for each pair of [c], and those
         # pairs are a prefix of the pairs of [n]
-        tops = np.arange(n - 1, dtype=np.int32)
+        tops = np.arange(n - 1, dtype=np.intp)
         c = np.repeat(tops, binomial_column(2)[tops])
-        local = np.arange(len(c), dtype=np.int64) - binomial_column(3)[c]
+        local = np.arange(len(c), dtype=np.intp) - binomial_column(3)[c]
         full = tuple(arr[local] for arr in pair_arrays(n)) + (c,)
+        # the suspended walk would otherwise keep the rank offsets alive
+        del local
+        for arr in full:
+            arr.setflags(write=False)
     else:
         raise InvalidArgument(f"unsupported uniformity k={k}")
     low_count = binomial_column(k - 1)
@@ -582,7 +589,9 @@ def degeneracy(edges, n: int | None = None) -> int:
 # mismatch, and the writer's output is canonical so write/read/write
 # round-trips are byte-identical.  Files are parsed and written as bytes,
 # so the locale never matters and a non-ASCII byte is an InvalidArgument;
-# the text functions wrap the byte ones.
+# the text functions wrap the byte ones.  A q <= 10 body as the writer
+# emits it, decimal digits only, is read by one subtraction of b"0"; any
+# other hex body goes through a byte translation table.
 
 _HCOL_HEADER = re.compile(rb"HCOL v1 n=(\d+) k=(\d+) q=(\d+)$")
 # byte translation tables for the hex body, colour -> digit to write and
@@ -605,6 +614,16 @@ def colouring_to_bytes(col: CompleteColouring) -> bytes:
     return b"".join(_hcol_parts(col))
 
 
+def _digit_body(data: bytes, offset: int, count: int, q: int) -> np.ndarray | None:
+    """The colours of a body of exactly `count` decimal digits below q from
+    data[offset:], followed by at most one final newline: the body
+    write_colouring emits for q <= 10.  None for any other body or q."""
+    if q > 10 or not count or len(data) - offset - data.endswith(b"\n") != count:
+        return None
+    vals = np.frombuffer(data, dtype=np.uint8, offset=offset, count=count) - 48
+    return vals if int(vals.max()) < q else None
+
+
 def colouring_from_bytes(data: bytes) -> CompleteColouring:
     """Parse HCOL v1 from raw bytes; any malformed input is InvalidArgument."""
     newline = data.find(b"\n")
@@ -616,6 +635,11 @@ def colouring_from_bytes(data: bytes) -> CompleteColouring:
         raise InvalidArgument(f"bad HCOL header: {line!r}")
     n, k, q = (int(g) for g in header.groups())
     expect = math.comb(n, k)
+    # a canonical q <= 10 body is one subtraction; every other body, faulty
+    # ones included, takes the general path, which finds and reports the fault
+    vals = _digit_body(data, newline + 1, expect, q)
+    if vals is not None:
+        return CompleteColouring(n=n, k=k, q=q, colours=vals)
     if q <= 16:
         # one pass over the whole file drops the blanks and maps digits to
         # colours, so the body is never sliced out; the header's surviving

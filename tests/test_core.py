@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hedgehog import core
+from hedgehog import constructions, core, extractors, finder
 
 
 def colex_sorted(n, k):
@@ -62,6 +62,21 @@ def test_rank_unrank_identity_exhaustive_to_64():
     for r in rng.integers(0, math.comb(64, 4), size=200).tolist():
         sub = core.unrank_subset(int(r), 64, 4)
         assert core.rank_subset(sub, 64) == r
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 40])
+def test_slab_index_arrays_are_native_width_and_read_only(n):
+    # numpy casts an index array of any other type on every gather
+    arrays = list(core.pair_arrays(n))
+    for k in (3, 4):
+        for _, _, lower in core.iter_slabs(n, k):
+            arrays.extend(lower)
+    for arr in arrays:
+        assert arr.dtype == np.intp and not arr.flags.writeable
+    # the label-triangle hypergraph, gathered through them, keeps int32 edges
+    triples = constructions.random_colouring(n, 3, 3, seed=n)
+    hyper = extractors.rbg_label_hypergraph(finder.pair_profile(triples, 3))
+    assert hyper.edges.dtype == np.int32
 
 
 def test_pair_and_triple_rank_helpers():

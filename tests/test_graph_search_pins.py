@@ -3,7 +3,11 @@ pipeline, the clique searches, the Gallai lower-bound witness and the
 scattered search in both modes.  Each test hashes every output of a fixed
 corpus; the digests were recorded before the searches shared one colour
 matrix and one colour-class adjacency pass.  The F(4) oracle's bytes are
-also checked against the digest the benchmark compares them with."""
+also checked against the digest the benchmark compares them with.
+
+The slab kernels (the lifts, their checks, the pair colour counts and the
+label-triangle hypergraph) are pinned the same way, with digests recorded
+while the slab walk still gathered through int32 vertex arrays."""
 
 import hashlib
 import json
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hedgehog import constructions, core, extractors
+from hedgehog import constructions, core, extractors, finder, verifiers
 
 
 def digest(chunks) -> str:
@@ -132,6 +136,46 @@ def f_oracle_outputs():
         yield f"{res} {sorted(res.statuses.items())}"
         for n in sorted(res.witnesses):
             yield core.colouring_to_bytes(res.witnesses[n])
+
+
+SLAB_SIZES = (0, 1, 2, 3, 4, 5, 57, 72)
+
+
+def slab_kernel_outputs():
+    palette = (0, 1, 2, 3)
+    for n in SLAB_SIZES:
+        base = constructions.random_colouring(n, 2, 4, seed=100 * n)
+        lift = constructions.complement_lift(base, palette)
+        fold = core.CompleteColouring(n, 2, 2, (base.colours >= 2).astype(np.uint8))
+        for col in (lift, constructions.kr_quad_lift(fold), constructions.quad_set_lift(lift)):
+            yield core.colouring_to_bytes(col)
+        yield repr(verifiers.verify_complement_lift(lift, base, palette))
+        if lift.edge_count:
+            # one recoloured triple, so the check has a violation to report
+            bad = lift.colours.copy()
+            bad[lift.edge_count // 2] = (bad[lift.edge_count // 2] + 1) % 4
+            tampered = core.CompleteColouring(n, 3, 4, bad)
+            yield repr(verifiers.verify_complement_lift(tampered, base, palette))
+        yield repr(verifiers.rainbow_triangle_free(base, (0, 1, 2)))
+        yield repr(verifiers.rainbow_triangle_free(base, (1, 2, 3)))
+        yield repr(verifiers.rainbow_triangle_free(fold, (0, 1, 2)))
+        for q in (2, 3):
+            triples = constructions.random_colouring(n, 3, q, seed=100 * n + q)
+            counts = core.pair_colour_counts(triples)
+            yield counts.astype(np.int64).tobytes()
+            t = 3 + n % 3
+            theta = finder.pair_threshold(t)
+            aux = finder.AuxiliaryGraphColouring(
+                n=n, t=t, q=q, theta=theta, labels=finder.label_pairs(counts, theta),
+                counts=counts,
+            )
+            yield extractors.rbg_label_hypergraph(aux).edges.tobytes()
+
+
+def test_slab_kernel_outputs_are_pinned():
+    assert digest(slab_kernel_outputs()) == (
+        "55111f24887652f786cbcd86d73db6c7aaaa8c79574303ae974721fd25ca34df"
+    )
 
 
 def test_pipeline_outputs_are_pinned():

@@ -72,6 +72,83 @@ def test_reader_agrees_with_reference_on_arbitrary_bodies(data):
     )
 
 
+# q <= 10 files around the decimal path's edges: each either is the
+# writer's canonical form (one line of digits) or must fall through to the
+# general path and fail, or succeed, exactly as the reference does
+_HEAD = b"HCOL v1 n=4 k=2 q=10\n"
+DECIMAL_EDGE_CASES = {
+    "canonical": _HEAD + b"012349\n",
+    "n below k": b"HCOL v1 n=2 k=3 q=2\n\n",
+    "n below k, no body line": b"HCOL v1 n=2 k=3 q=2\n",
+    "empty body": _HEAD + b"\n",
+    "crlf": _HEAD + b"012349\r\n",
+    "no final newline": _HEAD + b"012349",
+    "blanks": _HEAD + b"0 1 2 3 4 9\n",
+    "blank inside, length kept": _HEAD + b"01 349\n",
+    "hex letter at q=10": _HEAD + b"01234a\n",
+    "digit >= q": b"HCOL v1 n=4 k=2 q=3\n012012\n",
+    "overlong body": _HEAD + b"0123490\n",
+    "short body": _HEAD + b"01234\n",
+    "two final newlines": _HEAD + b"012349\n\n",
+    "nul byte": _HEAD + b"0123\x009\n",
+    "q=1": b"HCOL v1 n=3 k=2 q=1\n000\n",
+}
+
+
+def _assert_matches_reference(data):
+    want = _outcome(colouring_from_bytes_reference, data)
+    try:
+        col = core.colouring_from_bytes(data)
+    except core.InvalidArgument as exc:
+        assert ("error", str(exc)) == want
+        return
+    assert ("ok", (col.n, col.k, col.q, col.colours.tobytes())) == want
+    assert not col.colours.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(DECIMAL_EDGE_CASES))
+def test_decimal_edge_cases_match_reference(name):
+    _assert_matches_reference(DECIMAL_EDGE_CASES[name])
+
+
+@st.composite
+def edited_decimal_files(draw):
+    """A canonical q <= 10 file with one insert, delete or replacement
+    anywhere after the header line."""
+    col = draw(colourings(ks=(2, 3), qs=st.integers(1, 10), max_n=8))
+    data = bytearray(colouring_to_bytes_reference(col))
+    at = draw(st.integers(data.index(b"\n") + 1, len(data)))
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit == "delete":
+        del data[at : at + 1]
+    elif edit != "none":
+        data[at : at + (edit == "replace")] = draw(
+            st.one_of(_NOISE, st.integers(0, 9).map(lambda c: b"%d" % c))
+        )
+    return bytes(data)
+
+
+@CODEC
+@given(edited_decimal_files())
+def test_reader_agrees_with_reference_on_edited_decimal_files(data):
+    _assert_matches_reference(data)
+
+
+@pytest.mark.parametrize("q", [1, 2, 9, 10, 11, 16])
+def test_only_canonical_q10_bodies_take_the_decimal_path(q):
+    col = core.CompleteColouring(
+        9, 3, q, np.random.default_rng(q).integers(0, q, size=84, dtype=np.uint8)
+    )
+    data = core.colouring_to_bytes(col)
+    offset = data.index(b"\n") + 1
+    decimal = core._digit_body(data, offset, col.edge_count, q)
+    assert (decimal is not None) == (q <= 10)
+    if q <= 10:
+        assert np.array_equal(decimal, col.colours)
+        assert core._digit_body(data[:-1], offset, col.edge_count, q) is not None
+        assert core._digit_body(data + b"\n", offset, col.edge_count, q) is None
+
+
 @CODEC
 @given(colourings())
 def test_hex_round_trip_matches_reference(col):
@@ -109,6 +186,25 @@ def test_hex_read_peak_memory_is_two_bodies(tmp_path):
     rng = np.random.default_rng(5)
     col = core.CompleteColouring(
         n, 3, 16, rng.integers(0, 16, size=math.comb(n, 3), dtype=np.uint8)
+    )
+    path = tmp_path / "big.hcol"
+    core.write_colouring(col, path)
+    tracemalloc.start()
+    try:
+        got = core.read_colouring(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.equals(col)
+    assert peak <= 2.2 * col.edge_count
+
+
+def test_decimal_read_peak_memory_is_two_bodies(tmp_path):
+    # the decimal path holds the file bytes and the colours, nothing more
+    n = 200
+    rng = np.random.default_rng(6)
+    col = core.CompleteColouring(
+        n, 3, 10, rng.integers(0, 10, size=math.comb(n, 3), dtype=np.uint8)
     )
     path = tmp_path / "big.hcol"
     core.write_colouring(col, path)
