@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -157,7 +158,7 @@ def iter_slabs(n: int, k: int):
     `lower` holds read-only prefix views of one set of np.intp vertex
     arrays (numpy casts any other index type on every gather), so a slab
     costs no allocation: for k=3 the arrays of pair_arrays(n), for k=4 the
-    triple arrays of [n-1], built once per call.
+    triple arrays of [n-1], built once per call for the k=4 hedgehog oracle.
     """
     if k == 3:
         full = pair_arrays(n)
@@ -589,9 +590,9 @@ def degeneracy(edges, n: int | None = None) -> int:
 # mismatch, and the writer's output is canonical so write/read/write
 # round-trips are byte-identical.  Files are parsed and written as bytes,
 # so the locale never matters and a non-ASCII byte is an InvalidArgument;
-# the text functions wrap the byte ones.  A q <= 10 body as the writer
-# emits it, decimal digits only, is read by one subtraction of b"0"; any
-# other hex body goes through a byte translation table.
+# the text functions wrap the byte ones.  A q <= 10 body is the colours
+# plus b"0", one add, and is read back, digits only, by one subtraction of
+# b"0"; any other hex body goes through a byte translation table.
 
 _HCOL_HEADER = re.compile(rb"HCOL v1 n=(\d+) k=(\d+) q=(\d+)$")
 # byte translation tables for the hex body, colour -> digit to write and
@@ -601,12 +602,14 @@ _HEX_ENCODE = b"0123456789abcdef".ljust(256, b"?")
 _HEX_DECODE = bytes(b"0123456789abcdef".find(ch) % 256 for ch in range(256))
 
 
-def _hcol_parts(col: CompleteColouring) -> tuple[bytes, bytes, bytes]:
+def _hcol_parts(col: CompleteColouring) -> tuple[bytes, bytes | np.ndarray, bytes]:
     head = f"HCOL v1 n={col.n} k={col.k} q={col.q}\n".encode("ascii")
-    if col.q <= 16:
+    if col.q <= 10:
+        body = col.colours + 48  # the decimal digits, one add
+    elif col.q <= 16:
         body = col.colours.tobytes().translate(_HEX_ENCODE)
     else:
-        body = " ".join(str(int(c)) for c in col.colours).encode("ascii")
+        body = " ".join(map(str, col.colours.tolist())).encode("ascii")
     return head, body, b"\n"
 
 
@@ -615,13 +618,12 @@ def colouring_to_bytes(col: CompleteColouring) -> bytes:
 
 
 def _digit_body(data: bytes, offset: int, count: int, q: int) -> np.ndarray | None:
-    """The colours of a body of exactly `count` decimal digits below q from
-    data[offset:], followed by at most one final newline: the body
-    write_colouring emits for q <= 10.  None for any other body or q."""
+    """data[offset:] minus b"0" if q <= 10 and it is `count` bytes before at
+    most one final newline, as write_colouring emits; else None.  A byte
+    that is no digit below q maps to q or more, which the colouring rejects."""
     if q > 10 or not count or len(data) - offset - data.endswith(b"\n") != count:
         return None
-    vals = np.frombuffer(data, dtype=np.uint8, offset=offset, count=count) - 48
-    return vals if int(vals.max()) < q else None
+    return np.frombuffer(data, dtype=np.uint8, offset=offset, count=count) - 48
 
 
 def colouring_from_bytes(data: bytes) -> CompleteColouring:
@@ -635,11 +637,11 @@ def colouring_from_bytes(data: bytes) -> CompleteColouring:
         raise InvalidArgument(f"bad HCOL header: {line!r}")
     n, k, q = (int(g) for g in header.groups())
     expect = math.comb(n, k)
-    # a canonical q <= 10 body is one subtraction; every other body, faulty
-    # ones included, takes the general path, which finds and reports the fault
-    vals = _digit_body(data, newline + 1, expect, q)
-    if vals is not None:
-        return CompleteColouring(n=n, k=k, q=q, colours=vals)
+    # a canonical q <= 10 body is one subtraction and one range check; every
+    # other body, faulty ones included, takes the general path that reports it
+    if (vals := _digit_body(data, newline + 1, expect, q)) is not None:
+        with suppress(InvalidArgument):
+            return CompleteColouring(n=n, k=k, q=q, colours=vals)
     if q <= 16:
         # one pass over the whole file drops the blanks and maps digits to
         # colours, so the body is never sliced out; the header's surviving

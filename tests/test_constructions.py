@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -211,9 +212,9 @@ def test_kr_quad_lift_examples():
     assert constructions.kr_quad_lift(g).colour_of((0, 1, 2, 3)) == 0
 
 
-def test_kr_quad_lift_matches_brute_force():
+@pytest.mark.parametrize("n", [0, 3, 4, 9])
+def test_kr_quad_lift_matches_brute_force(n):
     rng = np.random.default_rng(9)
-    n = 9
     for density in (0.2, 0.5, 0.8):
         cols = (rng.random(math.comb(n, 2)) < density).astype(np.uint8)
         g = core.CompleteColouring(n, 2, 2, cols)
@@ -280,17 +281,25 @@ def test_quad_set_lift_examples():
     tr = core.CompleteColouring(4, 3, 4, np.array([0, 1, 2, 3], dtype=np.uint8))
     assert constructions.quad_set_lift(tr).colour_of((0, 1, 2, 3)) == 14
 
+    # the last subset of q = 8, {4, 5, 6, 7}, is the highest mask four
+    # triples can show, 0b11110000
+    tr = core.CompleteColouring(4, 3, 8, np.array([4, 5, 6, 7], dtype=np.uint8))
+    assert constructions.quad_set_lift(tr).colour_of((0, 1, 2, 3)) == 161
+
     with pytest.raises(core.InvalidArgument):
         constructions.quad_set_lift(
             core.CompleteColouring(4, 3, 9, np.zeros(4, dtype=np.uint8))
         )
 
 
-def test_quad_set_lift_matches_direct_subset_rank():
+@pytest.mark.parametrize("n", [0, 3, 4, 7])
+@pytest.mark.parametrize("q", [1, 2, 3, 8])
+def test_quad_set_lift_matches_direct_subset_rank(q, n):
+    # at q = 8 the masks can run up to 0b11110000, into the top of the 256-byte
+    # subset-rank table
     rng = np.random.default_rng(4)
-    q = 3
     tr = core.CompleteColouring(
-        7, 3, q, rng.integers(0, q, size=35, dtype=np.uint8)
+        n, 3, q, rng.integers(0, q, size=math.comb(n, 3), dtype=np.uint8)
     )
     lifted = constructions.quad_set_lift(tr)
     ordered = sorted(
@@ -306,12 +315,34 @@ def test_quad_set_lift_matches_direct_subset_rank():
     )
     for i, m in enumerate(masks):
         index_of[frozenset(c for c in range(q) if m >> c & 1)] = i
-    for quad in combinations(range(7), 4):
+    for quad in combinations(range(n), 4):
         got = lifted.colour_of(quad)
         want = index_of[
             frozenset(tr.colour_of(t) for t in combinations(quad, 3))
         ]
         assert got == want
+
+
+@pytest.mark.parametrize("lift", ["kr_quad_lift", "quad_set_lift"])
+def test_quad_lifts_peak_memory(lift):
+    # a lift holds its output and the pair ranks of every triple, three
+    # np.intp per triple, plus per-slab temporaries: no whole-output mask
+    # and no vertex arrays of the 4-sets
+    n = 72
+    rng = np.random.default_rng(8)
+    k, q = (2, 2) if lift == "kr_quad_lift" else (3, 4)
+    src = core.CompleteColouring(
+        n, k, q, rng.integers(0, q, size=math.comb(n, k), dtype=np.uint8)
+    )
+    run = getattr(constructions, lift)
+    run(src)  # fill the size-keyed caches the walk reads
+    tracemalloc.start()
+    try:
+        out = run(src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (out.edge_count + 24 * math.comb(n, 3))
 
 
 def test_lex_product_identities():

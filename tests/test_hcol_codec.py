@@ -199,6 +199,25 @@ def test_hex_read_peak_memory_is_two_bodies(tmp_path):
     assert peak <= 2.2 * col.edge_count
 
 
+def test_decimal_write_peak_memory_is_one_body(tmp_path):
+    # a q <= 10 write holds one body, the colours plus b"0", and no
+    # translated second copy
+    n = 200
+    rng = np.random.default_rng(7)
+    col = core.CompleteColouring(
+        n, 3, 2, rng.integers(0, 2, size=math.comb(n, 3), dtype=np.uint8)
+    )
+    path = tmp_path / "big.hcol"
+    tracemalloc.start()
+    try:
+        core.write_colouring(col, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert core.read_colouring(path).equals(col)
+    assert peak <= 1.1 * col.edge_count
+
+
 def test_decimal_read_peak_memory_is_two_bodies(tmp_path):
     # the decimal path holds the file bytes and the colours, nothing more
     n = 200
